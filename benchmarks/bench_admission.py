@@ -8,7 +8,7 @@ for operating the emulator as a shared service.
 from __future__ import annotations
 
 from _config import BASE_SEED, publish
-from repro.extensions import simulate_admissions
+from repro.api import AdmissionConfig, replay_admissions
 from repro.workload import LOW_LEVEL, generate_virtual_environment, paper_clusters
 
 
@@ -29,12 +29,12 @@ def test_acceptance_curve(benchmark):
     def sweep():
         rows = []
         for lifetime in (2.0, 5.0, 8.0, 12.0, 18.0):
-            result = simulate_admissions(
+            result = replay_admissions(
                 cluster,
-                n_tenants=30,
                 make_venv=make_tenant,
-                mean_lifetime=lifetime,
-                seed=BASE_SEED,
+                config=AdmissionConfig(
+                    n_tenants=30, mean_lifetime=lifetime, seed=BASE_SEED
+                ),
             )
             rows.append(
                 (lifetime, result.acceptance_ratio, result.mean_memory_utilization,

@@ -23,7 +23,7 @@ import pytest
 from _config import BASE_SEED, FULL, REPS, publish
 from repro.analysis import figure1_series, render_figure1
 from repro.api import run_grid
-from repro.hmn import HMNConfig, hmn_map
+from repro.hmn import hmn_map
 from repro.workload import HIGH_LEVEL, LOW_LEVEL, Scenario, paper_clusters
 
 #: x-axis of the figure: scenarios with growing virtual-link counts.
@@ -72,49 +72,6 @@ def test_render_figure1_series(benchmark):
     # largest instance (adjacent points may jitter at small scales)
     assert points[-1].mean_seconds > points[0].mean_seconds
     assert points[-1].n_links > 10 * points[0].n_links
-
-
-def test_figure1_engine_speedup(benchmark):
-    """Largest paper instance (50:1 torus, ~20k vlinks): the compiled
-    engine must produce the byte-identical mapping at >=3x the speed of
-    the dict engine when the C hot loop is available (pure-Python
-    fallback is still faster, but modestly)."""
-    import time
-
-    from repro.routing._cbuild import load_kernel
-
-    scenario = FIGURE_SCENARIOS[-1]
-    cluster, venv = _instance(scenario, "torus")
-
-    t0 = time.perf_counter()
-    dict_mapping = hmn_map(cluster, venv, HMNConfig(engine="dict"))
-    dict_seconds = time.perf_counter() - t0
-
-    compiled_seconds = {}
-
-    def run_compiled():
-        t0 = time.perf_counter()
-        m = hmn_map(cluster, venv, HMNConfig(engine="compiled"))
-        compiled_seconds["s"] = time.perf_counter() - t0
-        return m
-
-    compiled_mapping = benchmark.pedantic(
-        run_compiled, rounds=3 if FULL else 1, iterations=1, warmup_rounds=0
-    )
-
-    # Equivalence first — the speedup is worthless without it.
-    assert dict(compiled_mapping.assignments) == dict(dict_mapping.assignments)
-    assert dict(compiled_mapping.paths) == dict(dict_mapping.paths)
-    assert compiled_mapping.meta["objective"] == dict_mapping.meta["objective"]
-
-    speedup = dict_seconds / compiled_seconds["s"]
-    benchmark.extra_info["dict_seconds"] = dict_seconds
-    benchmark.extra_info["speedup_vs_dict"] = speedup
-    benchmark.extra_info["c_kernel"] = load_kernel() is not None
-    if load_kernel() is not None:
-        assert speedup >= 3.0, f"compiled engine only {speedup:.2f}x vs dict"
-    else:  # pure-Python index-space fallback: smaller but real win
-        assert speedup >= 1.2, f"compiled fallback only {speedup:.2f}x vs dict"
 
 
 def test_switched_mapping_subsecond_shape(benchmark):

@@ -2,9 +2,10 @@
 
 Isolates the cost of the path-finding substrate — the component the
 paper identifies as the mapping-time bottleneck ("Most part of mapping
-time is spent in the Networking stage") — including the measured value
-of the RoutingGraph fast path that DESIGN.md's performance note
-describes.
+time is spent in the Networking stage").  The head-to-heads time the
+compiled route kernels against the reference routers they must match
+bit for bit, both reading the same residual state (the reference
+through its ``residual_bw=`` accessor).
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from repro.core import ClusterState, compile_topology
 from repro.routing import (
     CompiledLatencyOracle,
     LatencyOracle,
-    bottleneck_route_labels,
-    RoutingGraph,
     backtracking_dfs,
     bottleneck_route,
     bottleneck_route_compiled,
+    bottleneck_route_labels,
     bottleneck_route_labels_compiled,
     k_shortest_latency_paths,
     latency_table,
@@ -42,136 +42,79 @@ def pairs(torus):
     return [tuple(int(x) for x in rng.choice(len(hosts), size=2, replace=False)) for _ in range(50)]
 
 
-def test_bottleneck_route_accessor_path(benchmark, torus, pairs):
-    state = ClusterState(torus)
-    oracle = LatencyOracle(torus)
+def _router(cluster, state, kind: str, *, labels: bool = False):
+    """One query function per head-to-head arm: the reference router
+    over the ``residual_bw`` accessor, or the compiled kernel over the
+    live bandwidth array.  Oracles are shared across the arm's queries,
+    as the Networking stage shares them."""
+    if kind == "reference":
+        oracle = LatencyOracle(cluster)
+        route = bottleneck_route_labels if labels else bottleneck_route
 
-    def run():
-        for a, b in pairs:
-            bottleneck_route(
-                torus, a, b, bandwidth=0.5, latency_bound=60.0,
-                residual_bw=state.residual_bw, oracle=oracle,
+        def query(a, b, **kwargs):
+            return route(
+                cluster, a, b, residual_bw=state.residual_bw, oracle=oracle, **kwargs
             )
+    else:
+        topo = compile_topology(cluster)
+        oracle = CompiledLatencyOracle(topo)
+        route = bottleneck_route_labels_compiled if labels else bottleneck_route_compiled
 
-    benchmark(run)
+        def query(a, b, **kwargs):
+            return route(topo, state.bw_array, a, b, oracle=oracle, **kwargs)
 
-
-def test_bottleneck_route_fast_path(benchmark, torus, pairs):
-    state = ClusterState(torus)
-    oracle = LatencyOracle(torus)
-    graph = RoutingGraph(torus)
-
-    def run():
-        for a, b in pairs:
-            bottleneck_route(
-                torus, a, b, bandwidth=0.5, latency_bound=60.0,
-                oracle=oracle, graph=graph, bw_table=state.bw_table,
-            )
-
-    benchmark(run)
+    return query
 
 
 def test_bottleneck_route_switched(benchmark, pairs):
     cluster = paper_switched(seed=BASE_SEED)
-    oracle = LatencyOracle(cluster)
-    graph = RoutingGraph(cluster)
-    state = ClusterState(cluster)
+    query = _router(cluster, ClusterState(cluster), "compiled")
     hosts = cluster.host_ids
 
     def run():
         for a, b in pairs:
-            bottleneck_route(
-                cluster, hosts[a], hosts[b], bandwidth=0.5, latency_bound=60.0,
-                oracle=oracle, graph=graph, bw_table=state.bw_table,
-            )
+            query(hosts[a], hosts[b], bandwidth=0.5, latency_bound=60.0)
 
     benchmark(run)
 
 
-@pytest.mark.parametrize("engine", ["dict", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_bottleneck_route_engine(benchmark, torus, pairs, engine):
-    """The engine head-to-head: Algorithm 1 through the dict-keyed
-    fast path vs the index-space kernel (C hot loop when a compiler is
-    available).  Same 50 queries, byte-identical answers."""
-    state = ClusterState(torus)
-    if engine == "dict":
-        oracle = LatencyOracle(torus)
-        graph = RoutingGraph(torus)
-        table = state.bw_table
+    """Algorithm 1 head-to-head: the reference router vs the
+    index-space kernel (C hot loop when a compiler is available).  Same
+    50 queries, byte-identical answers."""
+    query = _router(torus, ClusterState(torus), engine)
 
-        def run():
-            return [
-                bottleneck_route(
-                    torus, a, b, bandwidth=0.5, latency_bound=60.0,
-                    oracle=oracle, graph=graph, bw_table=table,
-                )
-                for a, b in pairs
-            ]
-    else:
-        topo = compile_topology(torus)
-        oracle = CompiledLatencyOracle(topo)
-        bw = state.bw_array
-
-        def run():
-            return [
-                bottleneck_route_compiled(
-                    topo, bw, a, b, bandwidth=0.5, latency_bound=60.0,
-                    oracle=oracle,
-                )
-                for a, b in pairs
-            ]
+    def run():
+        return [query(a, b, bandwidth=0.5, latency_bound=60.0) for a, b in pairs]
 
     results = benchmark(run)
     benchmark.extra_info["total_expansions"] = sum(r.expansions for r in results)
 
 
 def test_engines_agree_on_bench_queries(torus, pairs):
-    """Not a benchmark: the two engines must return identical paths,
-    bottlenecks, latencies and expansion counts on the exact query set
-    the head-to-head above times."""
+    """Not a benchmark: kernel and reference router must return
+    identical paths, bottlenecks, latencies and expansion counts on the
+    exact query set the head-to-head above times."""
     state = ClusterState(torus)
-    oracle = LatencyOracle(torus)
-    graph = RoutingGraph(torus)
-    topo = compile_topology(torus)
+    reference = _router(torus, state, "reference")
+    compiled = _router(torus, state, "compiled")
     for a, b in pairs:
-        d = bottleneck_route(
-            torus, a, b, bandwidth=0.5, latency_bound=60.0,
-            oracle=oracle, graph=graph, bw_table=state.bw_table,
-        )
-        c = bottleneck_route_compiled(
-            topo, state.bw_array, a, b, bandwidth=0.5, latency_bound=60.0,
-        )
+        d = reference(a, b, bandwidth=0.5, latency_bound=60.0)
+        c = compiled(a, b, bandwidth=0.5, latency_bound=60.0)
         assert (d.nodes, d.bottleneck, d.latency, d.expansions) == (
             c.nodes, c.bottleneck, c.latency, c.expansions
         )
 
 
-@pytest.mark.parametrize("engine", ["dict", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_label_setting_engine(benchmark, torus, pairs, engine):
-    """Label-setting head-to-head (polynomial router, both engines)."""
-    state = ClusterState(torus)
-    if engine == "dict":
-        oracle = LatencyOracle(torus)
-        graph = RoutingGraph(torus)
-        table = state.bw_table
+    """Label-setting head-to-head (the polynomial router)."""
+    query = _router(torus, ClusterState(torus), engine, labels=True)
 
-        def run():
-            for a, b in pairs:
-                bottleneck_route_labels(
-                    torus, a, b, bandwidth=0.5, latency_bound=60.0,
-                    oracle=oracle, graph=graph, bw_table=table,
-                )
-    else:
-        topo = compile_topology(torus)
-        oracle = CompiledLatencyOracle(topo)
-        bw = state.bw_array
-
-        def run():
-            for a, b in pairs:
-                bottleneck_route_labels_compiled(
-                    topo, bw, a, b, bandwidth=0.5, latency_bound=60.0,
-                    oracle=oracle,
-                )
+    def run():
+        for a, b in pairs:
+            query(a, b, bandwidth=0.5, latency_bound=60.0)
 
     benchmark(run)
 
@@ -214,33 +157,13 @@ def test_k_shortest_paths_hypercube(benchmark):
     assert len(paths) == 20
 
 
-def test_bottleneck_route_label_setting(benchmark, torus, pairs):
-    state = ClusterState(torus)
-    oracle = LatencyOracle(torus)
-    graph = RoutingGraph(torus)
-
-    def run():
-        for a, b in pairs:
-            bottleneck_route_labels(
-                torus, a, b, bandwidth=0.5, latency_bound=60.0,
-                oracle=oracle, graph=graph, bw_table=state.bw_table,
-            )
-
-    benchmark(run)
-
-
 def test_label_setting_on_loose_bounds(benchmark, torus, pairs):
     """The regime where Algorithm 1 explodes: a 3x-looser latency bound
     still routes in polynomial time with label setting."""
-    state = ClusterState(torus)
-    oracle = LatencyOracle(torus)
-    graph = RoutingGraph(torus)
+    query = _router(torus, ClusterState(torus), "compiled", labels=True)
 
     def run():
         for a, b in pairs[:10]:
-            bottleneck_route_labels(
-                torus, a, b, bandwidth=0.5, latency_bound=180.0,
-                oracle=oracle, graph=graph, bw_table=state.bw_table,
-            )
+            query(a, b, bandwidth=0.5, latency_bound=180.0)
 
     benchmark(run)

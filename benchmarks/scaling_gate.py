@@ -2,7 +2,7 @@
 """Scaling regression gate for the sharded mapper (BENCH_scaling.json).
 
 Three deterministic cells, compared against the committed baseline the
-same way ``smoke.py`` gates the routing engines:
+same way ``smoke.py`` gates the routing engine:
 
 ``sharded-fat-tree-1024``
     1024 hosts / 1500 guests, forced ``shard=16`` — the dual-run size

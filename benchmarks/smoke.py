@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Performance-regression smoke check for the routing engines.
+"""Performance-regression smoke check for the routing engine.
 
-Runs two small, deterministic workloads per engine and compares their
+Runs two small, deterministic workloads and compares their
 *normalized* cost against the committed baselines:
 
 ``routing``
@@ -26,8 +26,7 @@ on very different hardware.
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke.py --write            # seed baselines
-    PYTHONPATH=src python benchmarks/smoke.py --check            # both engines
-    PYTHONPATH=src python benchmarks/smoke.py --check --engine compiled
+    PYTHONPATH=src python benchmarks/smoke.py --check            # compare to baselines
     PYTHONPATH=src python benchmarks/smoke.py --trace-smoke      # span-schema CI gate
 """
 
@@ -53,7 +52,8 @@ from repro.workload import HIGH_LEVEL, Scenario, paper_clusters  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent
 BASE_SEED = 2009
-ENGINES = ("dict", "compiled")
+#: Key of the baseline rows in the BENCH_*.json files.
+ENGINE = "compiled"
 BASELINES = {
     "routing": BENCH_DIR / "BENCH_routing.json",
     "figure1": BENCH_DIR / "BENCH_figure1.json",
@@ -85,7 +85,7 @@ def calibrate() -> float:
     return _best_of(work, 3)
 
 
-def bench_routing(engine: str) -> float:
+def bench_routing() -> float:
     cluster = paper_torus(seed=BASE_SEED)
     state = ClusterState(cluster)
     rng = np.random.default_rng(BASE_SEED)
@@ -97,7 +97,7 @@ def bench_routing(engine: str) -> float:
 
     def run():
         # Fresh cache per rep: measure the kernels, not the path memo.
-        cache = RoutingCache(cluster, engine=engine)
+        cache = RoutingCache(cluster)
         for a, b in pairs:
             cache.route(state, a, b, bandwidth=0.5, latency_bound=60.0)
 
@@ -105,11 +105,11 @@ def bench_routing(engine: str) -> float:
     return _best_of(run, 3)
 
 
-def bench_figure1(engine: str) -> float:
+def bench_figure1() -> float:
     scenario = Scenario(ratio=10, density=0.015, workload=HIGH_LEVEL)
     cluster = paper_clusters(seed=BASE_SEED + 7)["torus"]
     venv = scenario.build_venv(cluster, seed=BASE_SEED + 11)
-    config = HMNConfig(engine=engine)
+    config = HMNConfig()
 
     def run():
         hmn_map(cluster, venv, config)
@@ -121,8 +121,8 @@ def bench_figure1(engine: str) -> float:
 BENCHES = {"routing": bench_routing, "figure1": bench_figure1}
 
 
-def measure(name: str, engine: str, calib: float) -> dict:
-    seconds = BENCHES[name](engine)
+def measure(name: str, calib: float) -> dict:
+    seconds = BENCHES[name]()
     return {
         "units": seconds / calib,
         "seconds": round(seconds, 6),
@@ -130,7 +130,7 @@ def measure(name: str, engine: str, calib: float) -> dict:
     }
 
 
-def write_baselines(engines) -> int:
+def write_baselines() -> int:
     calib = calibrate()
     for name, path in BASELINES.items():
         doc = json.loads(path.read_text()) if path.exists() else {
@@ -138,52 +138,44 @@ def write_baselines(engines) -> int:
             "tolerance_default": 0.20,
             "engines": {},
         }
-        for engine in engines:
-            doc["engines"][engine] = measure(name, engine, calib)
-            print(
-                f"[write] {name:8s} {engine:8s} "
-                f"{doc['engines'][engine]['units']:8.3f} units "
-                f"({doc['engines'][engine]['seconds']:.3f}s)"
-            )
+        row = doc["engines"][ENGINE] = measure(name, calib)
+        print(f"[write] {name:8s} {row['units']:8.3f} units ({row['seconds']:.3f}s)")
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def check_baselines(engines, tolerance: float) -> int:
+def check_baselines(tolerance: float) -> int:
     calib = calibrate()
     failures = []
     for name, path in BASELINES.items():
         if not path.exists():
             failures.append(f"{name}: missing baseline {path.name} (run --write)")
             continue
-        doc = json.loads(path.read_text())
-        for engine in engines:
-            base = doc["engines"].get(engine)
-            if base is None:
-                failures.append(f"{name}[{engine}]: no baseline (run --write)")
-                continue
-            now = measure(name, engine, calib)
-            ratio = now["units"] / base["units"]
-            verdict = "ok" if ratio <= 1.0 + tolerance else "REGRESSION"
-            print(
-                f"[check] {name:8s} {engine:8s} "
-                f"{now['units']:8.3f} vs {base['units']:8.3f} units "
-                f"({ratio:.1%} of baseline) {verdict}"
+        base = json.loads(path.read_text())["engines"].get(ENGINE)
+        if base is None:
+            failures.append(f"{name}: no baseline (run --write)")
+            continue
+        now = measure(name, calib)
+        ratio = now["units"] / base["units"]
+        verdict = "ok" if ratio <= 1.0 + tolerance else "REGRESSION"
+        print(
+            f"[check] {name:8s} {now['units']:8.3f} vs {base['units']:8.3f} units "
+            f"({ratio:.1%} of baseline) {verdict}"
+        )
+        if verdict != "ok":
+            failures.append(
+                f"{name}: {now['units']:.3f} units vs baseline "
+                f"{base['units']:.3f} (+{(ratio - 1.0):.1%} > "
+                f"{tolerance:.0%} tolerance)"
             )
-            if verdict != "ok":
-                failures.append(
-                    f"{name}[{engine}]: {now['units']:.3f} units vs baseline "
-                    f"{base['units']:.3f} (+{(ratio - 1.0):.1%} > "
-                    f"{tolerance:.0%} tolerance)"
-                )
     if failures:
         print("\nFAIL: " + "; ".join(failures), file=sys.stderr)
         return 1
-    print("\nall engine benchmarks within tolerance")
+    print("\nall routing benchmarks within tolerance")
     return 0
 
 
-def trace_smoke(engines) -> int:
+def trace_smoke() -> int:
     """CI gate for the observability layer: run the figure-1 bench
     instance traced, assert the mapping is byte-identical to the
     untraced run, and validate the emitted JSONL against the span
@@ -198,38 +190,36 @@ def trace_smoke(engines) -> int:
     cluster = paper_clusters(seed=BASE_SEED + 7)["torus"]
     venv = scenario.build_venv(cluster, seed=BASE_SEED + 11)
     failures = []
-    for engine in engines:
-        config = HMNConfig(engine=engine)
-        plain = hmn_map(cluster, venv, config)
-        registry = obs.MetricsRegistry()
-        with obs.recording(metrics=registry) as tracer:
-            traced = hmn_map(cluster, venv, config)
-        if (
-            plain.assignments != traced.assignments
-            or plain.paths != traced.paths
-            or plain.meta["objective"] != traced.meta["objective"]
-        ):
-            failures.append(f"{engine}: traced mapping differs from untraced")
-        path = Path(tempfile.mkstemp(suffix=".jsonl")[1])
-        try:
-            tracer.write(path)
-            spans = obs.load_trace(path)  # raises on any schema violation
-        except ValueError as exc:
-            failures.append(f"{engine}: invalid trace: {exc}")
-            spans = []
-        finally:
-            path.unlink(missing_ok=True)
-        names = {s["name"] for s in spans}
-        for required in ("hmn.map", "hmn.hosting", "hmn.networking", "route.query"):
-            if required not in names:
-                failures.append(f"{engine}: trace has no {required!r} span")
-        if not registry.to_prometheus().strip():
-            failures.append(f"{engine}: metrics registry exported nothing")
-        print(
-            f"[trace] figure1  {engine:8s} {len(spans):5d} spans, "
-            f"{len(registry)} instruments, traced == untraced: "
-            f"{'yes' if not failures else 'CHECK'}"
-        )
+    plain = hmn_map(cluster, venv)
+    registry = obs.MetricsRegistry()
+    with obs.recording(metrics=registry) as tracer:
+        traced = hmn_map(cluster, venv)
+    if (
+        plain.assignments != traced.assignments
+        or plain.paths != traced.paths
+        or plain.meta["objective"] != traced.meta["objective"]
+    ):
+        failures.append("traced mapping differs from untraced")
+    path = Path(tempfile.mkstemp(suffix=".jsonl")[1])
+    try:
+        tracer.write(path)
+        spans = obs.load_trace(path)  # raises on any schema violation
+    except ValueError as exc:
+        failures.append(f"invalid trace: {exc}")
+        spans = []
+    finally:
+        path.unlink(missing_ok=True)
+    names = {s["name"] for s in spans}
+    for required in ("hmn.map", "hmn.hosting", "hmn.networking", "route.query"):
+        if required not in names:
+            failures.append(f"trace has no {required!r} span")
+    if not registry.to_prometheus().strip():
+        failures.append("metrics registry exported nothing")
+    print(
+        f"[trace] figure1  {len(spans):5d} spans, "
+        f"{len(registry)} instruments, traced == untraced: "
+        f"{'yes' if not failures else 'CHECK'}"
+    )
     if failures:
         print("\nFAIL: " + "; ".join(failures), file=sys.stderr)
         return 1
@@ -247,17 +237,13 @@ def main(argv=None) -> int:
         action="store_true",
         help="validate a traced figure-1 run against the span schema",
     )
-    parser.add_argument(
-        "--engine", choices=ENGINES, help="restrict to one engine (default: both)"
-    )
     args = parser.parse_args(argv)
-    engines = (args.engine,) if args.engine else ENGINES
     tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.20"))
     if args.write:
-        return write_baselines(engines)
+        return write_baselines()
     if args.trace_smoke:
-        return trace_smoke(engines)
-    return check_baselines(engines, tolerance)
+        return trace_smoke()
+    return check_baselines(tolerance)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping as TMapping, Sequence
@@ -600,7 +599,7 @@ def expand_cells(
     return out
 
 
-def _run_grid(
+def run_grid(
     clusters,
     scenarios: Sequence[Scenario],
     mappers: Sequence[str],
@@ -615,7 +614,8 @@ def _run_grid(
     timeout: float | None = None,
     retries: int | None = None,
 ) -> list[RunRecord]:
-    """Sweep the experiment grid; returns one record per cell.
+    """Sweep the experiment grid; returns one record per cell (also
+    exported as :func:`repro.api.run_grid`).
 
     *clusters* is either a fixed ``{name: PhysicalCluster}`` mapping, or
     a callable ``seed -> {name: PhysicalCluster}`` invoked once per
@@ -649,24 +649,6 @@ def _run_grid(
         mapper_kwargs=mapper_kwargs,
     )
     return BatchRunner(workers, progress=progress, timeout=timeout, retries=retries).run(cells)
-
-
-_run_grid_warned = False
-
-
-def run_grid(clusters, scenarios, mappers, **kwargs) -> list[RunRecord]:
-    """Deprecated entry point — use :func:`repro.api.run_grid` (same
-    signature).  Warns once per process, then delegates unchanged."""
-    global _run_grid_warned
-    if not _run_grid_warned:
-        _run_grid_warned = True
-        warnings.warn(
-            "repro.analysis.runner.run_grid is deprecated; "
-            "use repro.api.run_grid instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _run_grid(clusters, scenarios, mappers, **kwargs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping as TMapping, Sequence
 
-from repro.analysis.runner import CellStats, RunRecord, _run_grid, aggregate
+from repro.analysis.runner import CellStats, RunRecord, aggregate, run_grid
 from repro.errors import ModelError
 from repro.workload.scenario import Scenario
 
@@ -103,7 +103,7 @@ def sweep_scenarios(
             )
         points[float(x)] = scenario.label
         scenarios.append(scenario)
-    records = _run_grid(
+    records = run_grid(
         clusters,
         scenarios,
         list(mappers),

@@ -7,10 +7,7 @@ deep module paths do not carry:
 
 * names exported here (see ``__all__``) only change at a major version;
 * deep imports (``repro.hmn.pipeline.hmn_map`` etc.) keep working but
-  are implementation layout, free to move between minor versions;
-* the deprecated pre-facade helpers (``repro.io.load_json`` /
-  ``save_json``, ``repro.analysis.runner.run_grid``) delegate here and
-  emit one :class:`DeprecationWarning` per process.
+  are implementation layout, free to move between minor versions.
 
 Quickstart::
 
@@ -28,8 +25,9 @@ Everything here is also re-exported at the package root, so
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping as TMapping, Sequence
+from typing import Any, Mapping as TMapping
 
+from repro.analysis.runner import run_grid
 from repro.core.cluster import PhysicalCluster
 from repro.core.mapping import Mapping
 from repro.core.venv import VirtualEnvironment
@@ -70,9 +68,6 @@ from repro.shard import (
     resolve_shard_workers,
     shard_map,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.runner import RunRecord
 
 __all__ = [
     # the one-call entry points
@@ -152,29 +147,12 @@ def map_virtual_env(
     keyword-only and may be a plain dict (round-tripped through
     :meth:`HMNConfig.from_dict`, so the CLI and config files can pass
     JSON straight in); remaining keyword arguments (``state``,
-    ``oracle``, ``cache``) are forwarded unchanged.  Returns the same
+    ``cache``, ``backup_ledger``) are forwarded unchanged.  Returns the same
     byte-identical :class:`Mapping` as the deep import.
     """
     if config is not None and not isinstance(config, HMNConfig):
         config = HMNConfig.from_dict(config)
     return hmn_map(cluster, venv, config, **kwargs)
-
-
-def run_grid(
-    clusters,
-    scenarios: Sequence,
-    mappers: Sequence[str],
-    **kwargs: Any,
-) -> "list[RunRecord]":
-    """Sweep the experiment grid; one record per (scenario, mapper,
-    rep) cell.  Same signature and results as the historical
-    ``repro.analysis.run_grid`` (see
-    :func:`repro.analysis.runner._run_grid` for the full parameter
-    docs); this facade entry point is the non-deprecated spelling.
-    """
-    from repro.analysis.runner import _run_grid
-
-    return _run_grid(clusters, scenarios, mappers, **kwargs)
 
 
 def run_chaos(

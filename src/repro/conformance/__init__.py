@@ -1,6 +1,6 @@
 """Correctness tooling: golden corpus, metamorphic oracles, fuzzing.
 
-Three complementary ways to trust a mapper change:
+Four complementary ways to trust a mapper change:
 
 * :mod:`repro.conformance.digest` / :mod:`~repro.conformance.corpus`
   — content-addressed digests of canonical scenarios, pinned in
@@ -8,9 +8,12 @@ Three complementary ways to trust a mapper change:
 * :mod:`repro.conformance.oracles` — metamorphic transformations
   (relabeling, unit rescaling, guest-order permutation, unreachable
   host) whose effect on the result is known exactly.
+* :mod:`repro.conformance.differential` — a routing cache that
+  re-runs every route-kernel miss on the reference routers and records
+  any disagreement, on the real mid-mapping residual state.
 * :mod:`repro.conformance.fuzz` — seeded differential fuzzing across
-  the dict/compiled engines, serial/parallel runners, validator, and
-  exact solver.
+  the route kernel and reference routers, serial/parallel runners,
+  validator, and exact solver.
 """
 
 from repro.conformance.corpus import (
@@ -26,6 +29,7 @@ from repro.conformance.corpus import (
     verify,
     write_golden,
 )
+from repro.conformance.differential import DifferentialRoutingCache
 from repro.conformance.digest import (
     DIGEST_FORMAT,
     canonical_document,
@@ -61,6 +65,7 @@ __all__ = [
     "load_golden",
     "verify",
     "write_golden",
+    "DifferentialRoutingCache",
     "DIGEST_FORMAT",
     "canonical_document",
     "canonical_json",

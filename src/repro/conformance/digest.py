@@ -11,8 +11,9 @@ Two mappings digest equal **iff** they are observationally identical:
 same guest placement, same routes, same leftover capacity everywhere.
 Wall-clock telemetry (``Mapping.stages``, ``meta['timings']``) is
 deliberately excluded — a digest must survive re-running on a slower
-machine — as is the mapper label, so the dict and compiled engines can
-be byte-compared through it.
+machine — as is the mapper label, so results of different pipelines
+(monolithic and sharded, live and replayed) can be byte-compared
+through it.
 
 Float canonicalization relies on :func:`json.dumps` emitting
 ``repr(float)`` (shortest round-trip form), which is deterministic

@@ -4,9 +4,12 @@ A seeded generator draws random (cluster, venv, config) triples and
 pushes each through every independent implementation path the repo
 has grown:
 
-* **dict engine vs compiled engine** — must produce byte-identical
-  mappings (compared through the canonical digest) or fail with the
-  same error class;
+* **route kernel vs reference routers** — every mapping runs through a
+  :class:`~repro.conformance.differential.DifferentialRoutingCache`,
+  which re-runs each kernel miss on the reference routers against the
+  live mid-mapping residual state; any difference in path, bottleneck,
+  latency, expansion count or error message is an ``engine-route``
+  divergence;
 * **validate()** — every feasible result must satisfy Eqs. 1-9;
 * **exact solver** (tiny instances only) — the true placement optimum
   must satisfy ``objective(exact) <= objective(HMN)``, and exact
@@ -39,6 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.conformance.differential import DifferentialRoutingCache
 from repro.conformance.digest import digest
 from repro.core.cluster import PhysicalCluster
 from repro.core.validate import validate_mapping
@@ -174,9 +178,7 @@ def generate_instance(
 
     The draw covers every topology family, both workload presets, a
     guest:host ratio of roughly 0.5-2.5, and the config axes that alter
-    mapper behavior (link order, migration on/off).  The engine field
-    is left at its default — the harness overrides it per comparison
-    arm.
+    mapper behavior (link order, migration on/off).
     """
     from repro.workload import HIGH_LEVEL, LOW_LEVEL, generate_virtual_environment
 
@@ -185,7 +187,8 @@ def generate_instance(
     cluster = _build_cluster(family, rng)
     # One draw in five deliberately overloads the cluster so the
     # failure paths (placement and routing rejection) get differential
-    # coverage too — both engines must fail with the same error class.
+    # coverage too — a rejected route must fail identically in the
+    # kernel and the reference router.
     if rng.random() < 0.2:
         ratio = float(rng.uniform(4.0, 12.0))
         density = float(rng.uniform(0.3, 0.9))
@@ -222,54 +225,39 @@ def _artifact(
 # ----------------------------------------------------------------------
 # the checks
 # ----------------------------------------------------------------------
-def _map_arm(cluster, venv, config, engine):
-    """Run one engine arm: (mapping, None) or (None, failure class name)."""
+def _map_arm(cluster, venv, config, cache=None):
+    """Run one mapping: (mapping, None) or (None, failure class name)."""
     try:
-        return hmn_map(cluster, venv, dataclasses.replace(config, engine=engine)), None
+        return hmn_map(cluster, venv, config, cache=cache), None
     except MappingError as exc:
         return None, type(exc).__name__
 
 
+def _route_divergences(cache: DifferentialRoutingCache) -> list[tuple[str, str]]:
+    return [("engine-route", str(m)) for m in cache.mismatches]
+
+
 def _check_one_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
     cluster, venv, config = generate_instance(seed, base_seed=base_seed)
-    divergences: list[tuple[str, str]] = []
+    cache = DifferentialRoutingCache(cluster)
+    mapping, _failure = _map_arm(cluster, venv, config, cache)
+    divergences = _route_divergences(cache)
 
-    m_dict, fail_dict = _map_arm(cluster, venv, config, "dict")
-    m_comp, fail_comp = _map_arm(cluster, venv, config, "compiled")
-
-    if (m_dict is None) != (m_comp is None):
-        divergences.append(
-            (
-                "engine-feasibility",
-                f"dict={fail_dict or 'mapped'} but compiled={fail_comp or 'mapped'}",
-            )
-        )
-    elif m_dict is None:
+    if mapping is None:
         report.n_unmappable += 1
-        if fail_dict != fail_comp:
-            divergences.append(
-                ("engine-failure-class", f"dict raised {fail_dict}, compiled {fail_comp}")
-            )
     else:
         report.n_mapped += 1
-        # Eqs. 1-9 on both arms; digest() would also catch this, but a
-        # named validation divergence beats a bare hash mismatch.
-        for label, m in (("dict", m_dict), ("compiled", m_comp)):
-            rep = validate_mapping(cluster, venv, m, raise_on_error=False)
-            if not rep.ok:
-                divergences.append(
-                    (
-                        "validate",
-                        f"{label} engine produced an invalid mapping: "
-                        + "; ".join(str(v) for v in rep.violations[:3]),
-                    )
+        # Eqs. 1-9; digest() would also catch this, but a named
+        # validation divergence beats a bare hash mismatch.
+        rep = validate_mapping(cluster, venv, mapping, raise_on_error=False)
+        if not rep.ok:
+            divergences.append(
+                (
+                    "validate",
+                    "HMN produced an invalid mapping: "
+                    + "; ".join(str(v) for v in rep.violations[:3]),
                 )
-        if not divergences:
-            d1, d2 = digest(cluster, venv, m_dict), digest(cluster, venv, m_comp)
-            if d1 != d2:
-                divergences.append(
-                    ("engine-digest", f"dict {d1[:16]}.. != compiled {d2[:16]}..")
-                )
+            )
 
         # Exact solver on tiny instances: the heuristic cannot beat the
         # optimum, and the optimum cannot be infeasible when HMN mapped.
@@ -290,7 +278,7 @@ def _check_one_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
                 )
             else:
                 obj_exact = exact.objective(cluster, venv)
-                obj_hmn = m_dict.objective(cluster, venv)
+                obj_hmn = mapping.objective(cluster, venv)
                 if obj_exact > obj_hmn + OBJECTIVE_TOL:
                     divergences.append(
                         (
@@ -398,8 +386,10 @@ def _check_redundant_seed(seed: int, base_seed: int, report: FuzzReport) -> None
 
     Hard checks: enabling redundancy (``k`` replicas + backup paths)
     must leave the *primary* mapping byte-identical — same digest as
-    the k=0 run, on both engines — because replicas are CPU-free and
-    backup reservations run strictly after Networking; the redundant
+    the k=0 run — because replicas are CPU-free and backup
+    reservations run strictly after Networking; every primary and
+    backup route of the redundant run must agree with the reference
+    routers (``engine-route``); the redundant
     mapping must still satisfy Eqs. 1-9; and its meta block must parse
     back (:func:`~repro.redundancy.stage.redundancy_records`) with
     every replica on a live host distinct from its guest's primary and
@@ -410,13 +400,13 @@ def _check_redundant_seed(seed: int, base_seed: int, report: FuzzReport) -> None
     cluster, venv, config = generate_instance(seed, base_seed=base_seed)
     rng = derive(base_seed, "conformance", "fuzz-redundancy", seed)
     k = int(rng.integers(1, 3))
-    divergences: list[tuple[str, str]] = []
     report.n_redundant += 1
 
-    m_plain, fail_plain = _map_arm(cluster, venv, config, "dict")
+    m_plain, fail_plain = _map_arm(cluster, venv, config)
     red_config = dataclasses.replace(config, redundancy=k, backup_paths=True)
-    m_red, fail_red = _map_arm(cluster, venv, red_config, "dict")
-    m_red_c, fail_red_c = _map_arm(cluster, venv, red_config, "compiled")
+    cache = DifferentialRoutingCache(cluster)
+    m_red, fail_red = _map_arm(cluster, venv, red_config, cache)
+    divergences = _route_divergences(cache)
 
     if (m_plain is None) != (m_red is None) or fail_plain != fail_red:
         divergences.append(
@@ -445,22 +435,6 @@ def _check_redundant_seed(seed: int, base_seed: int, report: FuzzReport) -> None
                         "redundancy-digest",
                         f"k=0 {d_plain[:16]}.. != k={k}+bp {d_red[:16]}.. "
                         "(the redundancy stage moved a primary decision)",
-                    )
-                )
-            if m_red_c is not None:
-                d_red_c = digest(cluster, venv, m_red_c)
-                if d_red != d_red_c:
-                    divergences.append(
-                        (
-                            "redundancy-engine-digest",
-                            f"dict {d_red[:16]}.. != compiled {d_red_c[:16]}..",
-                        )
-                    )
-            elif fail_red_c is not None:
-                divergences.append(
-                    (
-                        "redundancy-engine-feasibility",
-                        f"dict mapped but compiled raised {fail_red_c}",
                     )
                 )
             replicas, backups, _disjoint = redundancy_records(m_red)

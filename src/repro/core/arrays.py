@@ -1,10 +1,10 @@
 """Integer-indexed topology and array-backed residual state.
 
-The profiling notes in :mod:`repro.routing.graph` trace the remaining
-single-query routing cost to per-edge accessor plumbing: canonical
-``edge_key`` tuple construction, dict lookups keyed by hashable node
-ids, and string tiebreaks, executed ~10M times on the paper's largest
-instance.  This module removes that layer entirely:
+Profiling the Networking stage traced the single-query routing cost to
+per-edge accessor plumbing: canonical ``edge_key`` tuple construction,
+dict lookups keyed by hashable node ids, and string tiebreaks, executed
+~10M times on the paper's largest instance.  This module removes that
+layer entirely:
 
 * :class:`CompiledTopology` interns every node id and canonical edge
   key of a :class:`~repro.core.cluster.PhysicalCluster` to a dense
@@ -48,8 +48,8 @@ class CompiledTopology:
 
     Node indices follow ``cluster.node_ids`` (hosts first, then
     switches); edge indices follow link insertion order, matching the
-    iteration order of ``ClusterState``'s former dict tables so the
-    two engines traverse edges identically.
+    iteration order of the reference routers' ``cluster.neighbors``
+    walk, so both traverse edges identically.
     """
 
     __slots__ = (
@@ -159,8 +159,7 @@ def compile_topology(cluster: "PhysicalCluster") -> CompiledTopology:
     """The memoized :class:`CompiledTopology` of *cluster*.
 
     Recompiled when the cluster's node/link counts have changed since
-    the cached compile (mirroring the staleness contract of
-    :class:`~repro.routing.graph.RoutingGraph`); every
+    the cached compile; every
     :class:`~repro.core.state.ClusterState` and routing cache of the
     same cluster therefore shares one instance, which is what makes
     raw index exchange between them sound.

@@ -15,15 +15,14 @@ integers of the cluster's :class:`~repro.core.arrays.CompiledTopology`
 (an :class:`~repro.core.arrays.ArrayState`): snapshots and restores are
 O(n) array slices, and the compiled routing kernels
 (:mod:`repro.routing.compiled`) read the live bandwidth array directly
-through :attr:`bw_array`.  The public API stays dict-shaped —
-:attr:`bw_table` is a mapping view keyed by canonical edge keys, and
-every accessor takes user-space node ids.
+through :attr:`bw_array`.  Every public accessor takes user-space
+node ids.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.core.arrays import ArrayState, CompiledTopology, compile_topology
 from repro.core.cluster import PhysicalCluster
@@ -59,30 +58,6 @@ def path_edges(nodes: Sequence[NodeId]) -> list[EdgeKey]:
     return [edge_key(u, v) for u, v in zip(nodes, nodes[1:])]
 
 
-class _BwTableView(Mapping):
-    """Read-only mapping view of the flat residual-bandwidth array,
-    keyed by canonical edge key (the dict-shaped public face of
-    :attr:`ClusterState.bw_array`)."""
-
-    __slots__ = ("_topo", "_bw")
-
-    def __init__(self, topo: CompiledTopology, bw) -> None:
-        self._topo = topo
-        self._bw = bw
-
-    def __getitem__(self, key: EdgeKey) -> float:
-        return self._bw[self._topo.edge_index[key]]
-
-    def __iter__(self) -> Iterator[EdgeKey]:
-        return iter(self._topo.edge_keys)
-
-    def __len__(self) -> int:
-        return len(self._topo.edge_keys)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._topo.edge_index
-
-
 class ClusterState:
     """Residual capacities and guest placements over a cluster.
 
@@ -101,7 +76,6 @@ class ClusterState:
         "_guests_on",
         "_guest_obj",
         "_bw_epoch",
-        "_bw_view",
         "_blocked",
         "_fdomains",
     )
@@ -123,7 +97,6 @@ class ClusterState:
         self._guests_on: dict[NodeId, set[int]] = {h: set() for h in cluster.host_ids}
         self._guest_obj: dict[int, Guest] = {}
         self._bw_epoch = 0
-        self._bw_view: _BwTableView | None = None
         self._blocked: dict[NodeId, tuple[int, float, float]] = {}
         self._fdomains = None
 
@@ -202,20 +175,6 @@ class ClusterState:
         :class:`repro.routing.cache.RoutingCache`.
         """
         return self._bw_epoch
-
-    @property
-    def bw_table(self) -> Mapping[EdgeKey, float]:
-        """The live residual-bandwidth table, keyed by canonical edge key.
-
-        Exposed read-only for hot routing loops
-        (:class:`repro.routing.graph.RoutingGraph` users) that resolve
-        edge keys ahead of time; mutate through
-        :meth:`reserve_path`/:meth:`release_path` only.
-        """
-        view = self._bw_view
-        if view is None:
-            view = self._bw_view = _BwTableView(self._topo, self._arrays.bw)
-        return view
 
     @property
     def bw_array(self):
@@ -517,7 +476,6 @@ class ClusterState:
         out._guest_obj = dict(self._guest_obj)
         # The copy's residual table is identical, so the token stays valid.
         out._bw_epoch = self._bw_epoch
-        out._bw_view = None
         out._blocked = dict(self._blocked)
         out._fdomains = self._fdomains
         return out
@@ -531,7 +489,7 @@ class ClusterState:
         placements or bandwidth reservations into the caller's state.
         Live references to this state (unlike swapping in the snapshot
         object) remain valid; the arrays are restored in place, so the
-        :attr:`bw_array`/:attr:`bw_table` views stay live too.
+        :attr:`bw_array` view stays live too.
         """
         if snapshot.cluster is not self.cluster:
             raise ModelError("cannot restore from a snapshot of a different cluster")

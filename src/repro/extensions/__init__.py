@@ -10,15 +10,11 @@
 
 The label-setting router (:mod:`repro.routing.labels`) and multi-tenant
 shared state (``hmn_map(..., state=...)``) are further extensions that
-live with the components they extend.
+live with the components they extend.  Admission control over a shared
+cluster is :mod:`repro.service` (``repro.api.replay_admissions``,
+``repro.api.open_service``).
 """
 
-from repro.extensions.admission import (
-    AdmissionResult,
-    TenantEvent,
-    release_tenant,
-    simulate_admissions,
-)
 from repro.extensions.exact import exact_map
 from repro.extensions.consolidation import consolidation_map, run_draining, run_packing
 from repro.extensions.remap import (
@@ -53,10 +49,6 @@ __all__ = [
     "evacuate_host",
     "evacuate_switch",
     "RemapSummary",
-    "simulate_admissions",
-    "release_tenant",
-    "AdmissionResult",
-    "TenantEvent",
     "run_packing",
     "run_draining",
     "portfolio_map",

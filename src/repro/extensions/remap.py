@@ -45,7 +45,6 @@ from repro.errors import ModelError, PlacementError
 from repro.hmn.config import HMNConfig
 from repro.hmn.hosting import run_hosting
 from repro.hmn.networking import run_networking
-from repro.routing.dijkstra import LatencyOracle
 
 __all__ = ["RemapSummary", "extend_mapping", "evacuate_host", "evacuate_switch"]
 
@@ -92,8 +91,6 @@ def extend_mapping(
     venv: VirtualEnvironment,
     mapping: Mapping,
     config: HMNConfig | None = None,
-    *,
-    oracle: LatencyOracle | None = None,
 ) -> tuple[Mapping, RemapSummary]:
     """Map the part of *venv* that *mapping* does not cover yet.
 
@@ -160,7 +157,7 @@ def extend_mapping(
             to_route.add_vlink(e)
 
     t0 = time.perf_counter()
-    new_paths, networking_stats = run_networking(state, to_route, config, oracle=oracle)
+    new_paths, networking_stats = run_networking(state, to_route, config)
     networking_elapsed = time.perf_counter() - t0
 
     paths = dict(pinned)
@@ -192,7 +189,6 @@ def evacuate_host(
     config: HMNConfig | None = None,
     *,
     dead: bool = True,
-    oracle: LatencyOracle | None = None,
 ) -> tuple[Mapping, RemapSummary]:
     """Re-place the guests of *failed_host* and re-route around it.
 
@@ -272,7 +268,7 @@ def evacuate_host(
                 blocked.append(((failed_host, nbr), residual))
     t0 = time.perf_counter()
     try:
-        new_paths, networking_stats = run_networking(state, reroute, config, oracle=oracle)
+        new_paths, networking_stats = run_networking(state, reroute, config)
     finally:
         for (u, v), residual in blocked:
             state.release_path([u, v], residual)
@@ -308,8 +304,6 @@ def evacuate_switch(
     mapping: Mapping,
     failed_switch: NodeId,
     config: HMNConfig | None = None,
-    *,
-    oracle: LatencyOracle | None = None,
 ) -> tuple[Mapping, RemapSummary]:
     """Re-route every virtual link whose path transits *failed_switch*.
 
@@ -355,7 +349,7 @@ def evacuate_switch(
             blocked.append(((failed_switch, nbr), residual))
     t0 = time.perf_counter()
     try:
-        new_paths, networking_stats = run_networking(state, reroute, config, oracle=oracle)
+        new_paths, networking_stats = run_networking(state, reroute, config)
     finally:
         for (u, v), residual in blocked:
             state.release_path([u, v], residual)

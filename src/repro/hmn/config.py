@@ -22,7 +22,6 @@ __all__ = [
     "MigrationOrigin",
     "RoutingMetric",
     "Router",
-    "Engine",
     "Shard",
     "ShardWorkers",
     "Redundancy",
@@ -120,14 +119,11 @@ ShardWorkers = Literal["auto"] | int
 #: paths and digests are byte-identical to ``redundancy=0``.
 Redundancy = int
 
-#: Which route-kernel implementation backs the Networking stage.
-#: "compiled" (default) runs the router in index space over the
-#: cluster's :class:`~repro.core.arrays.CompiledTopology` — integer
-#: heap pushes and flat-array reads (:mod:`repro.routing.compiled`);
-#: "dict" runs the original user-space routers.  Both engines return
-#: byte-identical mappings (property-tested); "dict" exists as the
-#: reference implementation and for the engine-comparison benches.
-Engine = Literal["compiled", "dict"]
+#: Values the retired ``engine`` field could hold.  Configs stored
+#: before the field was removed (every ``describe()`` emitted it) still
+#: load: :meth:`HMNConfig.from_dict` drops the key when it holds one of
+#: these, and rejects it like any unknown key otherwise.
+_RETIRED_ENGINES = ("compiled", "dict")
 
 
 @keyword_only
@@ -164,9 +160,6 @@ class HMNConfig:
         Networking path-quality metric.
     router:
         Bottleneck-route implementation (see :data:`Router`).
-    engine:
-        Route-kernel implementation (see :data:`Engine`); affects speed
-        only, never results.
     shard:
         Substrate decomposition policy (see :data:`Shard`).  The
         default ``"auto"`` engages :mod:`repro.shard` only above its
@@ -213,7 +206,6 @@ class HMNConfig:
     migration_max_iterations: int = 1_000_000
     routing_metric: RoutingMetric = "bottleneck"
     router: Router = "algorithm1"
-    engine: Engine = "compiled"
     shard: Shard = "auto"
     shard_workers: ShardWorkers = "auto"
     redundancy: Redundancy = 0
@@ -238,8 +230,6 @@ class HMNConfig:
             raise ConfigError(f"unknown routing_metric {self.routing_metric!r}")
         if self.router not in ("algorithm1", "label_setting"):
             raise ConfigError(f"unknown router {self.router!r}")
-        if self.engine not in ("compiled", "dict"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
         if isinstance(self.shard, bool) or not (
             self.shard in ("auto", "off") or (isinstance(self.shard, int) and self.shard >= 1)
         ):
@@ -292,12 +282,17 @@ class HMNConfig:
         and rejects unknown keys with :class:`~repro.errors.ConfigError`
         — the CLI and :class:`~repro.analysis.runner.BatchRunner` use
         this to ship configs across process boundaries as plain dicts.
+        A retired ``engine`` key is dropped when it holds a value the
+        field once accepted, so stored configs keep loading.
         """
         if not isinstance(data, TMapping):
             raise ConfigError(
                 f"HMNConfig.from_dict expects a mapping, got {type(data).__name__}"
             )
-        return cls(**dict(data))
+        data = dict(data)
+        if data.get("engine") in _RETIRED_ENGINES:
+            del data["engine"]
+        return cls(**data)
 
     @classmethod
     def paper(cls) -> "HMNConfig":

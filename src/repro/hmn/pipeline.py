@@ -20,8 +20,7 @@ from repro.hmn.config import HMNConfig
 from repro.hmn.hosting import run_hosting
 from repro.hmn.migration import run_migration
 from repro.hmn.networking import run_networking
-from repro.routing.cache import RoutingCache
-from repro.routing.dijkstra import LatencyOracle
+from repro.routing.cache import ENGINE, RoutingCache
 
 __all__ = ["hmn_map"]
 
@@ -42,7 +41,7 @@ def _with_redundancy(state, venv, config, mapping, *, cache, ledger):
 
     rec = obs.OBS
     ledger_snap = ledger.snapshot() if ledger is not None else None
-    with rec.span("hmn.redundancy", engine=config.engine) as sp:
+    with rec.span("hmn.redundancy", engine=ENGINE) as sp:
         t0 = time.perf_counter()
         try:
             meta, stats = run_redundancy(
@@ -75,7 +74,6 @@ def hmn_map(
     config: HMNConfig | None = None,
     *,
     state: ClusterState | None = None,
-    oracle: LatencyOracle | None = None,
     cache: RoutingCache | None = None,
     backup_ledger=None,
 ) -> Mapping:
@@ -92,16 +90,11 @@ def hmn_map(
         virtual environment onto a cluster that already carries
         earlier mappings (multi-tenant extension; the paper assumes an
         empty testbed).  The state is mutated.
-    oracle:
-        Optional shared latency oracle; pass one when mapping many
-        virtual environments onto the same cluster to amortize the
-        Dijkstra tables (they depend only on topology, never on load).
     cache:
         Optional shared :class:`~repro.routing.cache.RoutingCache`
-        (subsumes *oracle*: it carries a latency oracle plus the
-        epoch-keyed path memo).  Pass one across repeated mappings of
-        the same cluster to reuse routing work; a private cache is
-        built otherwise.
+        (latency tables plus the epoch-keyed path memo).  Pass one
+        across repeated mappings of the same cluster to reuse routing
+        work; a private cache is built otherwise.
     backup_ledger:
         Optional shared :class:`~repro.redundancy.ledger.BackupLedger`
         for ``config.backup_paths`` reservations.  Multi-tenant
@@ -144,10 +137,7 @@ def hmn_map(
         from repro.shard.mapper import shard_map
 
         if not redundant:
-            return shard_map(
-                cluster, venv, config,
-                state=state, n_pods=target_pods, oracle=oracle, cache=cache,
-            )
+            return shard_map(cluster, venv, config, state=state, n_pods=target_pods)
         # Redundancy rides on top of the sharded primary mapping: run
         # shard_map against an explicit state, then the same post-stage
         # the monolithic path gets.  A failure after the primary
@@ -157,12 +147,9 @@ def hmn_map(
         if state is None:
             state = ClusterState(cluster)
         if cache is None:
-            cache = RoutingCache(cluster, oracle=oracle, engine=config.engine)
+            cache = RoutingCache(cluster)
         pre_shard = state.copy() if shared_state else None
-        mapping = shard_map(
-            cluster, venv, config,
-            state=state, n_pods=target_pods, oracle=oracle, cache=cache,
-        )
+        mapping = shard_map(cluster, venv, config, state=state, n_pods=target_pods)
         try:
             return _with_redundancy(
                 state, venv, config, mapping, cache=cache, ledger=backup_ledger
@@ -176,7 +163,7 @@ def hmn_map(
     if state is None:
         state = ClusterState(cluster)
     if cache is None:
-        cache = RoutingCache(cluster, oracle=oracle, engine=config.engine)
+        cache = RoutingCache(cluster)
 
     # A failure mid-pipeline must not leak partial placements or
     # bandwidth reservations into a caller-owned (multi-tenant) state.
@@ -187,7 +174,7 @@ def hmn_map(
 
     def run_stage(name: str, stage_fn):
         """One coherent timing layer: StageReport + span per stage."""
-        with rec.span(f"hmn.{name}", engine=config.engine) as sp:
+        with rec.span(f"hmn.{name}", engine=ENGINE) as sp:
             t0 = time.perf_counter()
             result = stage_fn()
             elapsed = time.perf_counter() - t0
@@ -199,7 +186,7 @@ def hmn_map(
         return result
 
     with rec.span(
-        "hmn.map", n_guests=venv.n_guests, n_vlinks=venv.n_vlinks, engine=config.engine
+        "hmn.map", n_guests=venv.n_guests, n_vlinks=venv.n_vlinks, engine=ENGINE
     ) as root:
         try:
             run_stage("hosting", lambda: run_hosting(state, venv, config))
@@ -222,7 +209,7 @@ def hmn_map(
         timings["route_kernel_s"] = networking_stats["route_kernel_s"]
         if rec.enabled:
             root.set(total_s=timings["total_s"], routing_calls=timings["routing_calls"])
-            rec.count("repro_mappings_total", engine=config.engine)
+            rec.count("repro_mappings_total", engine=ENGINE)
 
         mapping = Mapping(
             # Restrict to this venv's guests: a shared multi-tenant state

@@ -24,7 +24,6 @@ which every generator in this library guarantees.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import Any, Mapping as TMapping
 
@@ -44,8 +43,6 @@ __all__ = [
     "venv_from_dict",
     "mapping_to_dict",
     "mapping_from_dict",
-    "save_json",
-    "load_json",
 ]
 
 CLUSTER_FORMAT = "repro/cluster@1"
@@ -231,32 +228,3 @@ def _load_json(path: str | Path) -> PhysicalCluster | VirtualEnvironment | Mappi
             f"expected one of {sorted(_LOADERS)}"
         )
     return loader(data)
-
-
-_warned: set[str] = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    # Once per name per process: enough to be seen, never spam.
-    if old not in _warned:
-        _warned.add(old)
-        warnings.warn(
-            f"repro.io.{old} is deprecated; use {new} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
-def save_json(obj: PhysicalCluster | VirtualEnvironment | Mapping, path: str | Path) -> Path:
-    """Deprecated — use :func:`repro.api.save`."""
-    _warn_deprecated("save_json", "repro.api.save")
-    return _save_json(obj, path)
-
-
-def load_json(path: str | Path) -> PhysicalCluster | VirtualEnvironment | Mapping:
-    """Deprecated — use :func:`repro.api.load_cluster` /
-    :func:`repro.api.load_venv` / :func:`repro.api.load_mapping`."""
-    _warn_deprecated(
-        "load_json", "repro.api.load_cluster / load_venv / load_mapping"
-    )
-    return _load_json(path)

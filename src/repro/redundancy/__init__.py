@@ -17,7 +17,7 @@ to a run without redundancy:
   (memory/storage reserved, zero CPU until activation);
 * :mod:`~repro.redundancy.disjoint` routes a link- (preferably
   node-) disjoint **backup path** per virtual link through the
-  existing routers of both engines, and
+  existing route engine, and
   :mod:`~repro.redundancy.ledger` reserves its bandwidth
   **shared-risk-aware**: backups whose primaries cannot fail together
   share the same reserved headroom, which is what keeps the total

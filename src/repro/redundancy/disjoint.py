@@ -1,4 +1,4 @@
-"""Disjoint-path routing through the existing route engines.
+"""Disjoint-path routing through the existing route engine.
 
 Backup paths must avoid the primary path's links (and ideally its
 transit nodes) — otherwise the fault that breaks the primary breaks
@@ -7,10 +7,9 @@ the backup with it.  Rather than forking a third router,
 reserves their full residual bandwidth on the shared
 :class:`~repro.core.state.ClusterState` and issues a normal query
 through the :class:`~repro.routing.cache.RoutingCache`.  Both routers
-of both engines prune edges whose residual is below the demand, so a
-drained edge is invisible to them — the dict router, the compiled
-router and its C kernel all honor the exclusion bit-identically, for
-free.  The drain bumps ``bw_epoch``, so the cache memo stays sound;
+prune edges whose residual is below the demand, so a drained edge is
+invisible to them — the compiled router, its C kernel and the
+reference routers all honor the exclusion bit-identically, for free.  The drain bumps ``bw_epoch``, so the cache memo stays sound;
 the ``finally`` release restores the residuals exactly (reservations
 are exact subtractions).
 
@@ -68,7 +67,6 @@ def route_avoiding(
     avoid_nodes: Iterable[NodeId] = (),
     router: str = "algorithm1",
     max_expansions: int = 2_000_000,
-    engine: str | None = None,
 ) -> BottleneckPath:
     """Bottleneck-route while treating the avoided edges/nodes as gone.
 
@@ -89,7 +87,6 @@ def route_avoiding(
             latency_bound=latency_bound,
             router=router,
             max_expansions=max_expansions,
-            engine=engine,
         )
     finally:
         for e, residual in drained:
@@ -105,7 +102,6 @@ def backup_route(
     latency_bound: float,
     router: str = "algorithm1",
     max_expansions: int = 2_000_000,
-    engine: str | None = None,
 ) -> tuple[tuple[NodeId, ...], str] | None:
     """A backup for *primary*: node-disjoint if possible, else
     link-disjoint, else ``None``.
@@ -137,7 +133,6 @@ def backup_route(
                 avoid_nodes=nodes,
                 router=router,
                 max_expansions=max_expansions,
-                engine=engine,
             )
         except RoutingError:
             continue

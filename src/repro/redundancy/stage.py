@@ -90,7 +90,6 @@ def run_redundancy(
                 latency_bound=link.vlat,
                 router=config.router,
                 max_expansions=config.max_route_expansions,
-                engine=config.engine,
             )
             if found is None:
                 n_unprotected += 1

@@ -30,14 +30,11 @@ from __future__ import annotations
 import itertools
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping
+from typing import Callable, Hashable
 
 from repro.core.cluster import PhysicalCluster
 from repro.routing.dijkstra import LatencyOracle
 from repro.errors import ModelError, RoutingError, UnknownNodeError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.routing.graph import RoutingGraph
 
 __all__ = ["BottleneckPath", "bottleneck_route"]
 
@@ -70,8 +67,6 @@ def bottleneck_route(
     residual_bw: Callable[[NodeId, NodeId], float] | None = None,
     oracle: LatencyOracle | None = None,
     max_expansions: int = 2_000_000,
-    graph: "RoutingGraph | None" = None,
-    bw_table: "Mapping[tuple, float] | None" = None,
 ) -> BottleneckPath:
     """Find the feasible path with the greatest bottleneck bandwidth.
 
@@ -99,14 +94,6 @@ def bottleneck_route(
     max_expansions:
         Safety valve; exceeded means the instance is pathological and a
         :class:`~repro.errors.RoutingError` is raised.
-    graph, bw_table:
-        Hot-path option for bulk routing (the Networking stage): a
-        prebuilt :class:`~repro.routing.graph.RoutingGraph` plus the
-        live residual-bandwidth table
-        (:meth:`~repro.core.state.ClusterState.bw_table`).  Must be
-        passed together; *residual_bw* is then ignored.  Semantically
-        identical to the accessor path (the equivalence is
-        property-tested), ~10x faster on the paper's largest instances.
 
     Raises
     ------
@@ -125,8 +112,6 @@ def bottleneck_route(
     if origin == destination:
         return BottleneckPath((origin,), INFINITY, 0.0, 0)
 
-    if (graph is None) != (bw_table is None):
-        raise ModelError("graph and bw_table must be passed together")
     if oracle is None:
         oracle = LatencyOracle(cluster)
     ar = oracle.to_destination(destination)
@@ -138,16 +123,8 @@ def bottleneck_route(
             f"{latency_bound:.3f} ms",
         )
 
-    if graph is not None:
-        adjacency = graph.adjacency
-        bw_of = bw_table.__getitem__
-    else:
-        if residual_bw is None:
-            residual_bw = cluster.bandwidth
-        # Adapter so the single inner loop serves both paths; resolved
-        # lazily per head node, costing one tuple build per expansion.
-        adjacency = None
-        bw_of = None
+    if residual_bw is None:
+        residual_bw = cluster.bandwidth
 
     counter = itertools.count()
     # Max-heap on bottleneck via negation.  Entries:
@@ -170,16 +147,11 @@ def bottleneck_route(
         head = path[-1]
         if head == destination:
             return BottleneckPath(path, -neg_bbw, lat_acc, expansions)
-        if adjacency is not None:
-            triples = adjacency[head]
-        else:
-            triples = tuple(
-                (nbr, cluster.latency(head, nbr), None) for nbr in cluster.neighbors(head)
-            )
-        for nbr, edge_lat, ekey in triples:
+        for nbr in cluster.neighbors(head):
             if nbr in visited:
                 continue
-            edge_bw = bw_of(ekey) if ekey is not None else residual_bw(head, nbr)
+            edge_lat = cluster.latency(head, nbr)
+            edge_bw = residual_bw(head, nbr)
             if edge_bw < bw_need:
                 continue
             new_lat = lat_acc + edge_lat

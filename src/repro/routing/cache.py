@@ -7,10 +7,9 @@ to exactly this work.  Two layers of it are reusable:
 * **Latency labels** (the ``ar`` tables of Algorithm 1) depend only on
   the topology, never on residual bandwidth — one Dijkstra per distinct
   destination serves every query of a mapping, and every retry of a
-  retrying mapper.  The label layer wraps a shared
-  :class:`~repro.routing.dijkstra.LatencyOracle` (dict engine) and a
-  :class:`~repro.routing.compiled.CompiledLatencyOracle` (compiled
-  engine); both feed :attr:`label_tables`.
+  retrying mapper.  The label layer is a shared
+  :class:`~repro.routing.compiled.CompiledLatencyOracle`, counted by
+  :attr:`label_tables`.
 * **Path results** depend on the residual-bandwidth table, which
   :class:`~repro.core.state.ClusterState` versions with a
   :attr:`~repro.core.state.ClusterState.bw_epoch` token: every
@@ -24,20 +23,14 @@ to exactly this work.  Two layers of it are reusable:
   :class:`ClusterState` starts at epoch 0, where the residual graph is
   the full-capacity graph regardless of which try built it.
 
-The cache dispatches each query to one of two **engines**:
-
-* ``"compiled"`` (default) — the index-space kernels of
-  :mod:`repro.routing.compiled`, reading the state's flat
-  :attr:`~repro.core.state.ClusterState.bw_array` directly;
-* ``"dict"`` — the original routers over user-space node ids and the
-  dict-shaped ``bw_table``.
-
-Both produce byte-identical results (paths, bottlenecks, expansion
-counts, failure messages — property-tested), so the path memo is
-deliberately *not* keyed by engine: an entry computed by either engine
-serves both.  ``kernel_seconds`` accumulates wall time spent inside
-route kernels (cache misses only), surfaced as
-``Mapping.meta["timings"]["route_kernel_s"]``.
+Every miss runs the index-space kernels of :mod:`repro.routing.compiled`
+against the state's flat
+:attr:`~repro.core.state.ClusterState.bw_array`.  ``kernel_seconds``
+accumulates wall time spent inside them, surfaced as
+``Mapping.meta["timings"]["route_kernel_s"]``.  Misses go through
+:meth:`RoutingCache._kernel`, the one seam the conformance
+differential (:mod:`repro.conformance.differential`) overrides to
+compare each kernel result against the reference routers.
 
 ``hit_rate`` aggregates both layers; the per-layer counters stay
 visible in :meth:`RoutingCache.stats` so benchmark reports can tell
@@ -52,15 +45,12 @@ from typing import TYPE_CHECKING, Hashable
 
 from repro import obs
 from repro.errors import ModelError, RoutingError
-from repro.routing.bottleneck_prune import BottleneckPath, bottleneck_route
+from repro.routing.bottleneck_prune import BottleneckPath
 from repro.routing.compiled import (
     CompiledLatencyOracle,
     bottleneck_route_compiled,
     bottleneck_route_labels_compiled,
 )
-from repro.routing.dijkstra import LatencyOracle
-from repro.routing.graph import RoutingGraph
-from repro.routing.labels import bottleneck_route_labels
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arrays import CompiledTopology
@@ -70,7 +60,8 @@ __all__ = ["RoutingCache"]
 
 NodeId = Hashable
 
-_ENGINES = ("compiled", "dict")
+#: The route engine every cache reports in ``stats()`` and spans.
+ENGINE = "compiled"
 
 
 class RoutingCache:
@@ -80,14 +71,6 @@ class RoutingCache:
     ----------
     cluster:
         The physical cluster all cached work belongs to.
-    engine:
-        Default route engine, ``"compiled"`` or ``"dict"``; individual
-        :meth:`route` calls may override it.  Both engines share the
-        label and path memos (their results are identical).
-    oracle:
-        Optional pre-existing dict-engine latency oracle to adopt (so
-        callers that already warmed one keep its tables); a fresh one
-        is built otherwise.
     max_paths:
         Bound on stored path entries; when exceeded, the oldest half of
         the memo is dropped (stale epochs die first since entries are
@@ -96,10 +79,7 @@ class RoutingCache:
 
     __slots__ = (
         "cluster",
-        "engine",
-        "oracle",
         "max_paths",
-        "_graph",
         "_topo",
         "_compiled_oracle",
         "_paths",
@@ -109,25 +89,8 @@ class RoutingCache:
         "kernel_seconds",
     )
 
-    def __init__(
-        self,
-        cluster,
-        *,
-        engine: str = "compiled",
-        oracle: LatencyOracle | None = None,
-        graph: RoutingGraph | None = None,
-        max_paths: int = 65_536,
-    ) -> None:
-        if engine not in _ENGINES:
-            raise ModelError(f"unknown route engine {engine!r}")
-        if oracle is not None and oracle.cluster is not cluster:
-            raise ModelError("oracle belongs to a different cluster")
-        if graph is not None and graph.cluster is not cluster:
-            raise ModelError("routing graph belongs to a different cluster")
+    def __init__(self, cluster, *, max_paths: int = 65_536) -> None:
         self.cluster = cluster
-        self.engine = engine
-        self.oracle = oracle if oracle is not None else LatencyOracle(cluster)
-        self._graph = graph
         self._topo: "CompiledTopology | None" = None
         self._compiled_oracle: CompiledLatencyOracle | None = None
         self.max_paths = max_paths
@@ -136,15 +99,6 @@ class RoutingCache:
         self.path_queries = 0
         self.path_hits = 0
         self.kernel_seconds = 0.0
-
-    @property
-    def graph(self) -> RoutingGraph:
-        """The dict engine's flattened adjacency (built on first use,
-        so pure compiled-engine runs never pay for it)."""
-        graph = self._graph
-        if graph is None:
-            graph = self._graph = RoutingGraph(self.cluster)
-        return graph
 
     def _compiled(self, state: "ClusterState") -> tuple["CompiledTopology", CompiledLatencyOracle]:
         topo = self._topo
@@ -168,7 +122,6 @@ class RoutingCache:
         latency_bound: float,
         router: str = "algorithm1",
         max_expansions: int = 2_000_000,
-        engine: str | None = None,
     ) -> BottleneckPath:
         """Bottleneck-route over *state*'s residual graph, memoized.
 
@@ -178,8 +131,7 @@ class RoutingCache:
         residual table: a cached entry is only served while
         ``state.bw_epoch`` still names the residual table it was
         computed against.  Infeasibility is cached too, re-raised as a
-        fresh :class:`~repro.errors.RoutingError`.  *engine* overrides
-        the cache's default for this one call.
+        fresh :class:`~repro.errors.RoutingError`.
 
         When the process recorder is enabled, every query emits a
         ``route.query`` span (engine, router, cache hit/miss, labels
@@ -197,7 +149,6 @@ class RoutingCache:
                 latency_bound=latency_bound,
                 router=router,
                 max_expansions=max_expansions,
-                engine=engine,
             )
         hits_before = self.path_hits
         kernel_before = self.kernel_seconds
@@ -205,7 +156,7 @@ class RoutingCache:
             "route.query",
             origin=str(origin),
             destination=str(destination),
-            engine=engine if engine is not None else self.engine,
+            engine=ENGINE,
             router=router,
         ) as sp:
             try:
@@ -217,7 +168,6 @@ class RoutingCache:
                     latency_bound=latency_bound,
                     router=router,
                     max_expansions=max_expansions,
-                    engine=engine,
                 )
             except RoutingError:
                 sp.set(cache_hit=self.path_hits > hits_before, feasible=False)
@@ -250,15 +200,10 @@ class RoutingCache:
         latency_bound: float,
         router: str = "algorithm1",
         max_expansions: int = 2_000_000,
-        engine: str | None = None,
     ) -> BottleneckPath:
-        """The uninstrumented query path (memo lookup + kernel dispatch)."""
+        """The uninstrumented query path (memo lookup + kernel call)."""
         if state.cluster is not self.cluster:
             raise ModelError("state belongs to a different cluster than this cache")
-        if engine is None:
-            engine = self.engine
-        elif engine not in _ENGINES:
-            raise ModelError(f"unknown route engine {engine!r}")
         key = (state.bw_epoch, origin, destination, bandwidth, latency_bound, router)
         self.path_queries += 1
         cached = self._paths.get(key)
@@ -274,45 +219,15 @@ class RoutingCache:
 
         t0 = time.perf_counter()
         try:
-            if engine == "compiled":
-                topo, oracle = self._compiled(state)
-                if router == "label_setting":
-                    result = bottleneck_route_labels_compiled(
-                        topo,
-                        state.bw_array,
-                        origin,
-                        destination,
-                        bandwidth=bandwidth,
-                        latency_bound=latency_bound,
-                        oracle=oracle,
-                    )
-                else:
-                    result = bottleneck_route_compiled(
-                        topo,
-                        state.bw_array,
-                        origin,
-                        destination,
-                        bandwidth=bandwidth,
-                        latency_bound=latency_bound,
-                        oracle=oracle,
-                        max_expansions=max_expansions,
-                    )
-            else:
-                route_fn = (
-                    bottleneck_route_labels if router == "label_setting" else bottleneck_route
-                )
-                kwargs = {} if router == "label_setting" else {"max_expansions": max_expansions}
-                result = route_fn(
-                    self.cluster,
-                    origin,
-                    destination,
-                    bandwidth=bandwidth,
-                    latency_bound=latency_bound,
-                    oracle=self.oracle,
-                    graph=self.graph,
-                    bw_table=state.bw_table,
-                    **kwargs,
-                )
+            result = self._kernel(
+                state,
+                origin,
+                destination,
+                bandwidth=bandwidth,
+                latency_bound=latency_bound,
+                router=router,
+                max_expansions=max_expansions,
+            )
         except RoutingError as exc:
             self.kernel_seconds += time.perf_counter() - t0
             self._remember(self._failures, key, str(exc))
@@ -320,6 +235,40 @@ class RoutingCache:
         self.kernel_seconds += time.perf_counter() - t0
         self._remember(self._paths, key, result)
         return result
+
+    def _kernel(
+        self,
+        state: "ClusterState",
+        origin: NodeId,
+        destination: NodeId,
+        *,
+        bandwidth: float,
+        latency_bound: float,
+        router: str,
+        max_expansions: int,
+    ) -> BottleneckPath:
+        """Run the compiled route kernel for one memo miss."""
+        topo, oracle = self._compiled(state)
+        if router == "label_setting":
+            return bottleneck_route_labels_compiled(
+                topo,
+                state.bw_array,
+                origin,
+                destination,
+                bandwidth=bandwidth,
+                latency_bound=latency_bound,
+                oracle=oracle,
+            )
+        return bottleneck_route_compiled(
+            topo,
+            state.bw_array,
+            origin,
+            destination,
+            bandwidth=bandwidth,
+            latency_bound=latency_bound,
+            oracle=oracle,
+            max_expansions=max_expansions,
+        )
 
     def drop_stale(self, epoch: int) -> int:
         """Drop every memo entry not keyed by *epoch*; returns the count.
@@ -356,25 +305,19 @@ class RoutingCache:
     # ------------------------------------------------------------------
     @property
     def label_queries(self) -> int:
-        n = self.oracle.queries
-        if self._compiled_oracle is not None:
-            n += self._compiled_oracle.queries
-        return n
+        oracle = self._compiled_oracle
+        return oracle.queries if oracle is not None else 0
 
     @property
     def label_hits(self) -> int:
-        hits = self.oracle.queries - self.oracle.misses
-        if self._compiled_oracle is not None:
-            hits += self._compiled_oracle.queries - self._compiled_oracle.misses
-        return hits
+        oracle = self._compiled_oracle
+        return oracle.queries - oracle.misses if oracle is not None else 0
 
     @property
     def label_tables(self) -> int:
-        """Distinct destination latency tables held across both engines."""
-        n = self.oracle.cached_destinations
-        if self._compiled_oracle is not None:
-            n += self._compiled_oracle.cached_destinations
-        return n
+        """Distinct destination latency tables held."""
+        oracle = self._compiled_oracle
+        return oracle.cached_destinations if oracle is not None else 0
 
     @property
     def hit_rate(self) -> float:
@@ -387,7 +330,7 @@ class RoutingCache:
     def stats(self) -> dict:
         """JSON-ready counters for ``Mapping.meta`` / benchmark reports."""
         return {
-            "engine": self.engine,
+            "engine": ENGINE,
             "label_queries": self.label_queries,
             "label_hits": self.label_hits,
             "path_queries": self.path_queries,
@@ -398,7 +341,7 @@ class RoutingCache:
 
     def __repr__(self) -> str:
         return (
-            f"<RoutingCache[{self.engine}]: {len(self._paths)} paths, "
+            f"<RoutingCache: {len(self._paths)} paths, "
             f"{self.label_tables} label tables, "
             f"hit rate {self.hit_rate:.1%}>"
         )

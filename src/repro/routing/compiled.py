@@ -1,7 +1,9 @@
 """Index-space routing kernels over a :class:`CompiledTopology`.
 
-These are the compiled-engine counterparts of the three dict-space
-routers — :func:`repro.routing.dijkstra.latency_table`,
+This is the route engine: every production routing query runs here,
+through :class:`~repro.routing.cache.RoutingCache`.  Each kernel is the
+index-space form of one reference router —
+:func:`repro.routing.dijkstra.latency_table`,
 :func:`repro.routing.bottleneck_prune.bottleneck_route` (Algorithm 1),
 and :func:`repro.routing.labels.bottleneck_route_labels` — with every
 inner-loop operation reduced to integer heap pushes and flat-array
@@ -18,16 +20,19 @@ reads:
   structurally between siblings, and heap tiebreaks are a plain local
   integer counter.
 
-Equivalence with the dict engine is *by construction*, not best-effort:
-adjacency rows are built from the same ``cluster.neighbors`` iteration
-order as :class:`~repro.routing.graph.RoutingGraph`, heap entries order
-on the same ``(-bottleneck, latency, hops, seq)`` fields with ``seq``
-assigned in push order, and the bottleneck update
+Equivalence with the reference routers is *by construction*, not
+best-effort: adjacency rows are built from the same
+``cluster.neighbors`` iteration order the reference routers walk, heap
+entries order on the same ``(-bottleneck, latency, hops, seq)`` fields
+with ``seq`` assigned in push order, and the bottleneck update
 ``max(neg_bbw, -edge_bw)`` is bit-exact against ``min(bbw, edge_bw)``
-— so both engines pop, expand, and terminate identically, returning
+— so both pop, expand, and terminate identically, returning
 byte-identical paths, bottlenecks, expansion counts, and failure
-messages (property-tested in ``tests/test_engine_equivalence.py``).
-User-space node ids appear only at the result boundary.
+messages.  The conformance differential
+(:class:`~repro.conformance.differential.DifferentialRoutingCache`)
+checks this on every kernel miss of real mappings, and
+``tests/test_engine_equivalence.py`` property-tests it.  User-space
+node ids appear only at the result boundary.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def compiled_latency_table(topo: CompiledTopology, dest_idx: int):
     """Minimum accumulated latency from every node index to *dest_idx*.
 
     Returns an ``array('d')`` indexed by node index (unreachable nodes
-    hold ``inf``).  The values are identical to the dict engine's
+    hold ``inf``).  The values are identical to the reference
     :func:`~repro.routing.dijkstra.latency_table` — final Dijkstra
     distances are independent of tie-break order, because every settled
     value is a single addition from a previously settled final value.
@@ -259,7 +264,7 @@ def bottleneck_route_compiled(
     seq = 0
     # Max-heap on bottleneck via negation; entries
     # (-bottleneck, latency, hops, seq, cons_cell, visited_bitmask)
-    # order on the same first four fields as the dict engine, and seq
+    # order on the same first four fields as the reference router, and seq
     # is assigned in push order, so pop order matches exactly.
     heap = [(-INFINITY, 0.0, 0, 0, (src, None), 1 << src)]
     expansions = 0

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable
 
 from repro.core.cluster import PhysicalCluster
 from repro.errors import ModelError, RoutingError, UnknownNodeError
 from repro.routing.bottleneck_prune import BottleneckPath
 from repro.routing.dijkstra import LatencyOracle
-from repro.routing.graph import RoutingGraph
 
 __all__ = ["bottleneck_route_labels"]
 
@@ -56,8 +55,6 @@ def bottleneck_route_labels(
     latency_bound: float,
     residual_bw: Callable[[NodeId, NodeId], float] | None = None,
     oracle: LatencyOracle | None = None,
-    graph: RoutingGraph | None = None,
-    bw_table: Mapping[tuple, float] | None = None,
 ) -> BottleneckPath:
     """Drop-in alternative to
     :func:`repro.routing.bottleneck_prune.bottleneck_route` (same
@@ -72,8 +69,6 @@ def bottleneck_route_labels(
         raise ModelError(f"bandwidth demand must be >= 0, got {bandwidth}")
     if latency_bound < 0:
         raise ModelError(f"latency bound must be >= 0, got {latency_bound}")
-    if (graph is None) != (bw_table is None):
-        raise ModelError("graph and bw_table must be passed together")
 
     if origin == destination:
         return BottleneckPath((origin,), INFINITY, 0.0, 0)
@@ -88,17 +83,8 @@ def bottleneck_route_labels(
             f"{latency_bound:.3f} ms",
         )
 
-    if graph is not None:
-        adjacency = graph.adjacency
-        bw_of = bw_table.__getitem__
-    else:
-        if residual_bw is None:
-            residual_bw = cluster.bandwidth
-        adjacency = {
-            node: tuple((nbr, cluster.latency(node, nbr), None) for nbr in cluster.neighbors(node))
-            for node in cluster.node_ids
-        }
-        bw_of = None
+    if residual_bw is None:
+        residual_bw = cluster.bandwidth
 
     # Pareto fronts: node -> list of (bottleneck, latency) settled or queued.
     fronts: dict[NodeId, list[tuple[float, float]]] = {origin: [(INFINITY, 0.0)]}
@@ -137,8 +123,9 @@ def bottleneck_route_labels(
         # A popped label may have been dominated after insertion.
         if dominated(node, bbw + 1e-12, lat - 1e-12):
             continue
-        for nbr, edge_lat, ekey in adjacency[node]:
-            edge_bw = bw_of(ekey) if ekey is not None else residual_bw(node, nbr)
+        for nbr in cluster.neighbors(node):
+            edge_lat = cluster.latency(node, nbr)
+            edge_bw = residual_bw(node, nbr)
             if edge_bw < bw_need:
                 continue
             new_lat = lat + edge_lat

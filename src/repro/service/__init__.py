@@ -21,8 +21,7 @@ service:
   count;
 * :mod:`~repro.service.replay` — :func:`replay_admissions` /
   :func:`replay_through`, deterministic batch drivers over the same
-  decision path (the successors of the deprecated
-  ``extensions.admission.simulate_admissions``).
+  decision path.
 
 Typical use::
 

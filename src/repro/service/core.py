@@ -135,7 +135,7 @@ class ServiceCore:
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.state = ClusterState(cluster)
-        self.cache = RoutingCache(cluster, engine=self.config.engine)
+        self.cache = RoutingCache(cluster)
         self._live: dict[Any, _LiveTenant] = {}
         self.accepted = 0
         self.rejected = 0
@@ -200,7 +200,9 @@ class ServiceCore:
                 f"than the one supplied"
             )
         stored_config = HMNConfig.from_dict(meta.config)
-        if config is not None and config.describe() != meta.config:
+        # Compare parsed configs, not raw dicts: stores written before a
+        # field retired still carry it (see HMNConfig.from_dict).
+        if config is not None and config != stored_config:
             raise StoreError(
                 f"{store.path}: store was written under a different "
                 f"service config"

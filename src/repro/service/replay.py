@@ -1,12 +1,12 @@
 """Deterministic arrival/departure drivers over the admission engine.
 
-The old ``extensions.admission.simulate_admissions`` loop, rebuilt as a
-thin driver over :class:`~repro.service.core.ServiceCore` — the *same*
-decision path the live asyncio service executes, so batch studies and
-the service cannot drift apart.  The event order (and therefore every
-draw from the shared generator) is the historical one, which keeps
-replayed admission traces byte-identical to what the pre-service code
-produced:
+The multi-tenant admission loop, built as a thin driver over
+:class:`~repro.service.core.ServiceCore` — the *same* decision path
+the live asyncio service executes, so batch studies and the service
+cannot drift apart.  The event order (and therefore every
+draw from the shared generator) is fixed, which keeps replayed
+admission traces byte-identical across runs (digest-pinned in the
+tests):
 
 1. process due departures (earliest first);
 2. sample memory utilization and peak concurrency;
@@ -15,7 +15,7 @@ produced:
 5. on admission, draw the geometric lifetime and schedule departure.
 
 :func:`replay_admissions` drives the core directly (no queue — the
-fastest path, used by benchmarks and the deprecation shim);
+fastest path, used by the benchmarks);
 :func:`replay_through` feeds the same arrivals through a running
 :class:`~repro.service.service.ServiceHandle`, one at a time, for
 end-to-end smoke coverage of the queue/worker/commit machinery.
@@ -110,7 +110,6 @@ def replay_admissions(
 ) -> ReplayReport:
     """Run an arrive/hold/depart trace through the admission engine.
 
-    The typed successor of the deprecated ``simulate_admissions``:
     *config* is a keyword-only :class:`AdmissionConfig` (plain dicts
     coerced; unknown keys raise :class:`~repro.errors.ConfigError`
     naming the valid options), decisions come back as

@@ -1,7 +1,6 @@
 """The typed request/response surface of the admission service.
 
-Three value types replace the tuple-shaped results the old
-``extensions/admission.py`` grew around:
+Three value types:
 
 * :class:`MapRequest` — what a tenant submits: an id, a virtual
   environment, optional per-request :class:`~repro.hmn.config.HMNConfig`
@@ -216,11 +215,8 @@ class AdmissionConfig:
 class ReplayReport:
     """Aggregate outcome of one admission replay.
 
-    The typed successor of the deprecated
-    ``extensions.admission.AdmissionResult``: same aggregates, but the
-    per-tenant trace is a tuple of :class:`AdmissionDecision` (with
-    ``departed_at`` annotated from the lifetime draws) instead of the
-    old ``TenantEvent`` shape.
+    The per-tenant trace is a tuple of :class:`AdmissionDecision` (with
+    ``departed_at`` annotated from the lifetime draws).
     """
 
     decisions: tuple[AdmissionDecision, ...]

@@ -50,6 +50,7 @@ from repro.core.venv import VirtualEnvironment
 from repro.errors import PlacementError
 from repro.hmn.config import HMNConfig
 from repro.hmn.ordering import ordered_vlinks
+from repro.routing.cache import ENGINE
 from repro.shard.parallel import PodPool, resolve_shard_workers
 from repro.shard.partition import Partition, partition_cluster
 from repro.shard.stitch import stitch_networking
@@ -148,22 +149,18 @@ def shard_map(
     *,
     state: ClusterState | None = None,
     n_pods: int | None = None,
-    oracle=None,
-    cache=None,
 ) -> Mapping:
     """Map *venv* onto *cluster* with the shard-and-stitch pipeline.
 
-    Accepts the same call shape as :func:`~repro.hmn.pipeline.hmn_map`
-    (*oracle*/*cache* are accepted for signature compatibility; the
-    stitcher's batched corridor router has no use for the monolithic
-    routing cache).  *n_pods* forces a pod count; by default the
+    Takes :func:`~repro.hmn.pipeline.hmn_map`'s *state* but no routing
+    cache: the stitcher's batched corridor router has no use for the
+    monolithic one.  *n_pods* forces a pod count; by default the
     partitioner picks the topology's natural one.
 
     Raises :class:`PlacementError`/:class:`RoutingError` under exactly
     the monolithic pipeline's heuristic-failure contract, and restores
     a caller-supplied *state* on any failure.
     """
-    del oracle, cache  # monolithic-signature compatibility only
     if config is None:
         config = HMNConfig()
     shared_state = state is not None
@@ -175,7 +172,7 @@ def shard_map(
     stages: list[StageReport] = []
 
     def run_stage(name: str, stage_fn):
-        with rec.span(f"shard.{name}", engine=config.engine) as sp:
+        with rec.span(f"shard.{name}", engine=ENGINE) as sp:
             t0 = time.perf_counter()
             result = stage_fn(sp)
             elapsed = time.perf_counter() - t0
@@ -190,12 +187,12 @@ def shard_map(
         return result
 
     with rec.span(
-        "shard.map", n_guests=venv.n_guests, n_vlinks=venv.n_vlinks, engine=config.engine
+        "shard.map", n_guests=venv.n_guests, n_vlinks=venv.n_vlinks, engine=ENGINE
     ) as root:
         pool: PodPool | None = None
         try:
             # -- stage 1: partition substrate + virtual environment ----
-            with rec.span("shard.partition", engine=config.engine) as sp:
+            with rec.span("shard.partition", engine=ENGINE) as sp:
                 t0 = time.perf_counter()
                 partition = partition_cluster(cluster, n_pods, seed=config.seed)
                 pod_states = [

@@ -48,6 +48,26 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture
+def differential_caches(monkeypatch) -> list:
+    """Make the chaos operator route through the conformance
+    differential cache (every kernel miss re-run on the reference
+    routers); returns the list of caches it builds, for inspecting
+    their ``mismatches``."""
+    import repro.resilience.operator as operator_mod
+    from repro.conformance import DifferentialRoutingCache
+
+    built: list = []
+
+    class Recording(DifferentialRoutingCache):
+        def __init__(self, cluster, **kwargs):
+            super().__init__(cluster, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(operator_mod, "RoutingCache", Recording)
+    return built
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 

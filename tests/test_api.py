@@ -3,9 +3,8 @@
 The facade's contract: everything an experiment script needs is
 importable from one place (and re-exported at the package root), the
 facade entry points return byte-identical results to the deep imports
-they wrap, configs are keyword-only and reject mistakes with
-:class:`~repro.errors.ConfigError`, and the pre-facade helpers keep
-working behind a single :class:`DeprecationWarning` per process.
+they wrap, and configs are keyword-only and reject mistakes with
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class TestSurface:
     def test_deep_imports_keep_working(self):
         from repro.analysis.runner import run_grid  # noqa: F401
         from repro.hmn.pipeline import hmn_map  # noqa: F401
-        from repro.io import load_json, save_json  # noqa: F401
+        from repro.io import cluster_from_dict, cluster_to_dict  # noqa: F401
 
     def test_config_error_is_a_model_error(self):
         assert issubclass(ConfigError, ModelError)
@@ -91,10 +90,18 @@ class TestSurface:
 class TestMapVirtualEnv:
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
     def test_byte_identical_to_deep_import(self, cluster, venv, engine):
-        config = api.HMNConfig(engine=engine)
-        assert canon(api.map_virtual_env(cluster, venv, config=config)) == canon(
+        # The "dict" arm forwards a differential cache through the
+        # facade: every kernel miss is re-run on the dict-space
+        # reference routers, and none may disagree.
+        from repro.conformance import DifferentialRoutingCache
+
+        cache = DifferentialRoutingCache(cluster) if engine == "dict" else None
+        config = api.HMNConfig()
+        assert canon(api.map_virtual_env(cluster, venv, config=config, cache=cache)) == canon(
             hmn_map(cluster, venv, config)
         )
+        if cache is not None:
+            assert cache.checked > 0 and cache.mismatches == []
 
     def test_default_config(self, cluster, venv):
         assert canon(api.map_virtual_env(cluster, venv)) == canon(
@@ -103,12 +110,12 @@ class TestMapVirtualEnv:
 
     def test_dict_config_round_trips(self, cluster, venv):
         via_dict = api.map_virtual_env(
-            cluster, venv, config={"engine": "dict", "migration_enabled": False}
+            cluster, venv, config={"router": "label_setting", "migration_enabled": False}
         )
         via_config = api.map_virtual_env(
             cluster,
             venv,
-            config=api.HMNConfig(engine="dict", migration_enabled=False),
+            config=api.HMNConfig(router="label_setting", migration_enabled=False),
         )
         assert canon(via_dict) == canon(via_config)
 
@@ -123,8 +130,13 @@ class TestMapVirtualEnv:
 
 class TestRunGrid:
     def test_matches_deprecated_entry_point(self):
+        """``repro.analysis.run_grid``, once a deprecated spelling, is
+        now the facade's own function."""
+        from repro import analysis
         from repro.analysis import records_to_dicts
-        from repro.analysis.runner import _run_grid
+        from repro.analysis.runner import run_grid as deep_run_grid
+
+        assert analysis.run_grid is api.run_grid
 
         scenarios = [Scenario(ratio=2.5, density=0.05, workload=HIGH_LEVEL)]
 
@@ -133,7 +145,7 @@ class TestRunGrid:
 
         kwargs = dict(reps=2, base_seed=3, simulate=False)
         facade = api.run_grid(clusters, scenarios, ["hmn"], **kwargs)
-        deep = _run_grid(clusters, scenarios, ["hmn"], **kwargs)
+        deep = deep_run_grid(clusters, scenarios, ["hmn"], **kwargs)
 
         def rows(records):
             out = records_to_dicts(records)
@@ -155,9 +167,11 @@ class TestRunChaos:
 
     def test_dict_config_accepted(self):
         cluster = paper_torus(seed=5)
-        via_dict = api.run_chaos(cluster, n_events=40, seed=5, config={"engine": "dict"})
+        via_dict = api.run_chaos(
+            cluster, n_events=40, seed=5, config={"router": "label_setting"}
+        )
         via_config = api.run_chaos(
-            cluster, n_events=40, seed=5, config=api.HMNConfig(engine="dict")
+            cluster, n_events=40, seed=5, config=api.HMNConfig(router="label_setting")
         )
         assert via_dict.to_dict(include_wall=False) == via_config.to_dict(
             include_wall=False
@@ -176,18 +190,29 @@ class TestKeywordOnlyConfigs:
 
     def test_hmnconfig_rejects_unknown_kwarg_naming_options(self):
         with pytest.raises(ConfigError) as exc:
-            api.HMNConfig(engne="dict")
-        assert "engne" in str(exc.value)
-        assert "engine" in str(exc.value)  # the valid options are listed
+            api.HMNConfig(ruoter="label_setting")
+        assert "ruoter" in str(exc.value)
+        assert "router" in str(exc.value)  # the valid options are listed
 
     def test_hmnconfig_rejects_bad_value(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            api.HMNConfig(engine="gpu")
+        with pytest.raises(ConfigError, match="unknown router"):
+            api.HMNConfig(router="gpu")
 
     def test_hmnconfig_from_dict_round_trip(self):
-        config = api.HMNConfig(engine="dict", router="label_setting", seed=3)
+        config = api.HMNConfig(router="label_setting", seed=3)
         rebuilt = api.HMNConfig.from_dict(config.describe())
         assert rebuilt == config
+
+    @pytest.mark.parametrize("engine", ["compiled", "dict"])
+    def test_hmnconfig_from_dict_drops_retired_engine(self, engine):
+        stored = {**api.HMNConfig(seed=3).describe(), "engine": engine}
+        assert api.HMNConfig.from_dict(stored) == api.HMNConfig(seed=3)
+
+    def test_hmnconfig_from_dict_rejects_other_engine_values(self):
+        with pytest.raises(ConfigError, match="engine"):
+            api.HMNConfig.from_dict({"engine": "gpu"})
+        with pytest.raises(ConfigError, match="engine"):
+            api.HMNConfig(engine="compiled")  # only stored configs may carry it
 
     def test_hmnconfig_from_dict_rejects_non_mapping(self):
         with pytest.raises(ConfigError, match="expects a mapping"):
@@ -239,56 +264,9 @@ class TestPersistence:
         with pytest.raises(ModelError, match="mapping"):
             api.load_mapping(path)
 
-    def test_facade_save_does_not_warn(self, cluster, tmp_path, monkeypatch):
-        from repro import io as repro_io
-
-        monkeypatch.setattr(repro_io, "_warned", set())
+    def test_facade_save_does_not_warn(self, cluster, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             path = api.save(cluster, tmp_path / "c.json")
             api.load_cluster(path)
 
-
-# ----------------------------------------------------------------------
-# deprecation shims
-# ----------------------------------------------------------------------
-
-
-class TestDeprecations:
-    def test_io_save_json_warns_once_per_process(self, cluster, tmp_path, monkeypatch):
-        from repro import io as repro_io
-
-        monkeypatch.setattr(repro_io, "_warned", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.save"):
-            path = repro_io.save_json(cluster, tmp_path / "c.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro_io.save_json(cluster, tmp_path / "c2.json")  # second call: silent
-        with pytest.warns(DeprecationWarning, match="repro.api.load_cluster"):
-            repro_io.load_json(path)
-
-    def test_runner_run_grid_warns_once_per_process(self, monkeypatch):
-        from repro.analysis import runner
-
-        monkeypatch.setattr(runner, "_run_grid_warned", False)
-        scenarios = [Scenario(ratio=2.5, density=0.05, workload=HIGH_LEVEL)]
-
-        def clusters(seed):
-            return {"torus": torus_cluster(2, 4, seed=seed)}
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run_grid"):
-            runner.run_grid(clusters, scenarios, ["hmn"], reps=1, simulate=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner.run_grid(clusters, scenarios, ["hmn"], reps=1, simulate=False)
-
-    def test_deprecated_helpers_delegate_to_same_implementation(
-        self, cluster, tmp_path
-    ):
-        from repro import io as repro_io
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = repro_io.save_json(cluster, tmp_path / "old.json")
-        new = api.save(cluster, tmp_path / "new.json")
-        assert old.read_text() == new.read_text()

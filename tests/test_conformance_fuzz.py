@@ -101,51 +101,45 @@ class TestShardedArms:
 
 
 class TestInjectedDivergence:
+    """A perturbed route kernel must surface as an ``engine-route``
+    divergence (the differential cache compares every kernel miss with
+    the reference routers) carrying a replayable repro artifact."""
+
     def test_engine_divergence_detected(self, monkeypatch):
-        """A compiled engine that returns a different placement than the
-        dict engine must surface as a divergence with a repro artifact."""
-        real = fuzz_mod.hmn_map
+        """A kernel that reports a different bottleneck than the
+        reference router."""
+        import repro.routing.cache as cache_mod
 
-        def broken(cluster, venv, config=None, **kwargs):
-            m = real(cluster, venv, config, **kwargs)
-            if config is not None and config.engine == "compiled":
-                g0 = min(m.assignments)
-                new_host = next(
-                    h for h in cluster.host_ids if h != m.assignments[g0]
-                )
-                return dataclasses.replace(
-                    m, assignments={**m.assignments, g0: new_host}
-                )
-            return m
+        real = cache_mod.bottleneck_route_compiled
 
-        monkeypatch.setattr(fuzz_mod, "hmn_map", broken)
+        def perturbed(*args, **kwargs):
+            r = real(*args, **kwargs)
+            return dataclasses.replace(r, bottleneck=r.bottleneck * 0.5)
+
+        monkeypatch.setattr(cache_mod, "bottleneck_route_compiled", perturbed)
         report = FuzzReport()
         fuzz_mod._check_one_seed(1, 0, report)  # seed 1 is mappable
         assert not report.ok
-        # The broken mapping is either invalid (path endpoints moved) or
-        # digests differently; both count.
-        assert {d.check for d in report.divergences} <= {
-            "validate",
-            "engine-digest",
-            "exact-optimality",
-        }
+        assert {d.check for d in report.divergences} == {"engine-route"}
         art = report.divergences[0].artifact
         assert set(art) == {"cluster", "venv", "config"}
+        assert "kernel" in report.divergences[0].detail
 
     def test_failure_class_divergence_detected(self, monkeypatch):
-        from repro.errors import PlacementError
+        """A kernel that rejects routes the reference router finds."""
+        import repro.routing.cache as cache_mod
+        from repro.errors import RoutingError
 
-        real = fuzz_mod.hmn_map
+        def sabotaged(topo, bw, origin, destination, **kwargs):
+            raise RoutingError((origin, destination), "sabotage")
 
-        def broken(cluster, venv, config=None, **kwargs):
-            if config is not None and config.engine == "compiled":
-                raise PlacementError("g", "sabotage")
-            return real(cluster, venv, config, **kwargs)
-
-        monkeypatch.setattr(fuzz_mod, "hmn_map", broken)
+        monkeypatch.setattr(cache_mod, "bottleneck_route_compiled", sabotaged)
         report = FuzzReport()
         fuzz_mod._check_one_seed(1, 0, report)  # seed 1 is mappable
-        assert [d.check for d in report.divergences] == ["engine-feasibility"]
+        assert report.divergences
+        assert {d.check for d in report.divergences} == {"engine-route"}
+        assert all("sabotage" in d.detail for d in report.divergences)
+        assert set(report.divergences[0].artifact) == {"cluster", "venv", "config"}
 
     def test_runner_divergence_has_repro_pointer(self, monkeypatch):
         # Force the stripped-record comparison itself to disagree.

@@ -92,15 +92,15 @@ class TestDescribeHelpers:
 
 class TestRouterTrivialFastPath:
     def test_same_endpoint_with_graph_args(self, diamond):
+        """The compiled kernels (topology + live bandwidth array) take
+        the same trivial intra-host fast path as the reference routers."""
         from repro.core import ClusterState
-        from repro.routing import RoutingGraph, bottleneck_route, bottleneck_route_labels
+        from repro.routing import bottleneck_route_compiled, bottleneck_route_labels_compiled
 
         state = ClusterState(diamond)
-        graph = RoutingGraph(diamond)
-        for fn in (bottleneck_route, bottleneck_route_labels):
+        for fn in (bottleneck_route_compiled, bottleneck_route_labels_compiled):
             result = fn(
-                diamond, 1, 1, bandwidth=1.0, latency_bound=0.0,
-                graph=graph, bw_table=state.bw_table,
+                state.topology, state.bw_array, 1, 1, bandwidth=1.0, latency_bound=0.0,
             )
             assert result.nodes == (1,)
 

@@ -1,13 +1,15 @@
-"""Property tests: the compiled engine is byte-identical to the dict engine.
+"""Property tests: the route kernels are byte-identical to the reference routers.
 
 The compiled routing layer (:mod:`repro.routing.compiled`) promises
-**bit-exact** equivalence with the original user-space routers — same
+**bit-exact** equivalence with the user-space reference routers — same
 paths, same bottleneck/latency floats, same expansion counts, same
 error messages — by construction (identical neighbor order, heap
 comparator, and float arithmetic).  These tests check that promise the
 only way it can be checked: exhaustively, across random topologies,
 random residual loads, and every configuration preset, with ``==`` on
-everything (no ``approx``).
+everything (no ``approx``).  Whole mappings are checked query by query
+through the conformance differential cache, on the real mid-mapping
+residual states.
 
 Also covered here: :class:`~repro.core.arrays.ArrayState`
 snapshot/restore round-trips exactly, and the runtime-compiled C hot
@@ -21,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conformance import DifferentialRoutingCache
 from repro.core import ClusterState, compile_topology
 from repro.errors import MappingError, RoutingError
 from repro.hmn import HMNConfig, hmn_map
@@ -81,16 +84,19 @@ def _loaded_state(cluster, load_seed: int) -> ClusterState:
 
 
 def _map_both(cluster, venv, **knobs):
-    """Run hmn_map under both engines; fold MappingError into the result."""
+    """Run hmn_map plainly and through the differential cache (every
+    kernel miss re-run on the reference routers); fold MappingError into
+    the results and return them with the per-query mismatches."""
+    config = HMNConfig(**knobs)
     results = []
-    for engine in ("dict", "compiled"):
-        config = HMNConfig(engine=engine, **knobs)
+    cache = DifferentialRoutingCache(cluster)
+    for arm_cache in (None, cache):
         try:
-            m = hmn_map(cluster, venv, config)
+            m = hmn_map(cluster, venv, config, cache=arm_cache)
             results.append(("ok", dict(m.assignments), dict(m.paths), m.meta["objective"]))
         except MappingError as exc:
             results.append(("err", type(exc).__name__, str(exc)))
-    return results
+    return results, [str(m) for m in cache.mismatches]
 
 
 class TestMappingEquivalence:
@@ -98,8 +104,9 @@ class TestMappingEquivalence:
     @given(mapping_instance())
     def test_default_preset_byte_identical(self, instance):
         cluster, venv = instance
-        dict_r, compiled_r = _map_both(cluster, venv)
-        assert dict_r == compiled_r
+        (plain, checked), mismatches = _map_both(cluster, venv)
+        assert mismatches == []
+        assert plain == checked
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -113,7 +120,7 @@ class TestMappingEquivalence:
         self, instance, link_order, metric, router, exhaustive
     ):
         cluster, venv = instance
-        dict_r, compiled_r = _map_both(
+        (plain, checked), mismatches = _map_both(
             cluster,
             venv,
             link_order=link_order,
@@ -122,11 +129,13 @@ class TestMappingEquivalence:
             migration_exhaustive=exhaustive,
             seed=7,
         )
-        assert dict_r == compiled_r
+        assert mismatches == []
+        assert plain == checked
 
 
 def _route_both(cluster, state, origin, destination, *, bandwidth, latency_bound):
-    """One query through each engine's router, errors folded in."""
+    """One query through the reference router and the kernel, errors
+    folded in."""
     topo = compile_topology(cluster)
     oracle = LatencyOracle(cluster)
     out = []

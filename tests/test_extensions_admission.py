@@ -1,13 +1,16 @@
-"""Tests for the admission-control simulation (extensions.admission)
+"""Tests for the admission-control replay (``repro.api.replay_admissions``)
 and the transactional shared-state guarantee it relies on."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from repro.api import AdmissionConfig, replay_admissions
 from repro.core import ClusterState
 from repro.errors import MappingError, ModelError
-from repro.extensions import simulate_admissions
 from repro.hmn import hmn_map
 from repro.workload import LOW_LEVEL, generate_virtual_environment, paper_clusters
 
@@ -26,6 +29,11 @@ def make_small(i, rng):
     )
 
 
+def simulate(cluster, *, n_tenants, make_venv, mean_lifetime=5.0, seed=None):
+    config = AdmissionConfig(n_tenants=n_tenants, mean_lifetime=mean_lifetime, seed=seed)
+    return replay_admissions(cluster, make_venv=make_venv, config=config)
+
+
 def make_big(i, rng):
     n = int(rng.integers(150, 250))
     return generate_virtual_environment(
@@ -42,7 +50,7 @@ class TestTransactionalSharedState:
         )
         hmn_map(cluster, first, state=state)
         placed_before = state.n_placed
-        bw_before = dict(state.bw_table)
+        bw_before = state.bw_array.tobytes()
         objective_before = state.objective()
 
         # An impossible tenant: more memory than the whole cluster.
@@ -56,7 +64,7 @@ class TestTransactionalSharedState:
             hmn_map(cluster, impossible, state=state)
 
         assert state.n_placed == placed_before
-        assert dict(state.bw_table) == bw_before
+        assert state.bw_array.tobytes() == bw_before
         assert state.objective() == pytest.approx(objective_before)
 
     def test_restore_from_other_cluster_rejected(self, cluster):
@@ -80,27 +88,27 @@ class TestTransactionalSharedState:
 
 class TestAdmissionSimulation:
     def test_light_load_accepts_everyone(self, cluster):
-        result = simulate_admissions(
+        result = simulate(
             cluster, n_tenants=15, make_venv=make_small, mean_lifetime=2.0, seed=7
         )
         assert result.acceptance_ratio == 1.0
         assert result.rejected == 0
-        assert len(result.events) == 15
-        assert all(e.admitted for e in result.events)
+        assert len(result.decisions) == 15
+        assert all(d.admitted for d in result.decisions)
 
     def test_heavy_load_rejects_some(self, cluster):
-        result = simulate_admissions(
+        result = simulate(
             cluster, n_tenants=25, make_venv=make_big, mean_lifetime=15.0, seed=7
         )
         assert result.rejected > 0
         assert 0.0 < result.acceptance_ratio < 1.0
-        rejected_events = [e for e in result.events if not e.admitted]
-        assert all(e.failure for e in rejected_events)
+        rejected = [d for d in result.decisions if not d.admitted]
+        assert all(d.failure for d in rejected)
 
     def test_acceptance_monotone_in_lifetime(self, cluster):
         ratios = []
         for lifetime in (2.0, 8.0, 20.0):
-            result = simulate_admissions(
+            result = simulate(
                 cluster, n_tenants=25, make_venv=make_big,
                 mean_lifetime=lifetime, seed=7,
             )
@@ -108,26 +116,26 @@ class TestAdmissionSimulation:
         assert ratios[0] >= ratios[-1]
 
     def test_deterministic(self, cluster):
-        a = simulate_admissions(
+        a = simulate(
             cluster, n_tenants=20, make_venv=make_small, mean_lifetime=5.0, seed=11
         )
-        b = simulate_admissions(
+        b = simulate(
             cluster, n_tenants=20, make_venv=make_small, mean_lifetime=5.0, seed=11
         )
-        assert a.events == b.events
+        assert a.decisions == b.decisions
 
     def test_validation(self, cluster):
         with pytest.raises(ModelError):
-            simulate_admissions(cluster, n_tenants=0, make_venv=make_small)
+            simulate(cluster, n_tenants=0, make_venv=make_small)
         with pytest.raises(ModelError):
-            simulate_admissions(
+            simulate(
                 cluster, n_tenants=1, make_venv=make_small, mean_lifetime=0.0
             )
 
     def test_departures_free_capacity(self, cluster):
         """With lifetime 1 every tenant departs before the next arrives:
         even big tenants must all be admitted."""
-        result = simulate_admissions(
+        result = simulate(
             cluster, n_tenants=10, make_venv=make_big, mean_lifetime=1.0, seed=3
         )
         assert result.acceptance_ratio == 1.0
@@ -135,56 +143,40 @@ class TestAdmissionSimulation:
 
 
 class TestDeprecationShim:
-    """``simulate_admissions`` is now a shim over the admission service
-    (``repro.service``).  These tests pin the compatibility contract:
-    one DeprecationWarning per process, and admission traces that are
-    byte-identical to the pre-service implementation (digests captured
-    before the refactor)."""
+    """Admission traces pinned by digest.  They were first pinned on the
+    retired ``simulate_admissions`` shim and are now pinned on the
+    :func:`~repro.api.replay_admissions` decisions it wrapped, so a
+    change to any admission decision still flips a digest."""
 
-    # sha256(repr((events, accepted, rejected, mean_mem_util, peak)))
-    # computed on the tuple-loop implementation this shim replaced.
+    # sha256 of the canonical JSON of the decisions plus the aggregates.
     PINNED = {
-        "small": "f77ad9d4eb5d81b0f1d53ff496839f3adc05173426b04be0c52d1cbf58aed674",
-        "big": "92b2adee546667ddd467c4276127325fc6c7a74e7db7095b97db5ed1491c2b84",
+        "small": "056db62aa3102b0139719c7ca90b18ff43f642ecd50117cdd2a4d4ec8c6b32a6",
+        "big": "86c4e8ce473bd0d6728272df3a7aaf4c66bf4e74208cad1006067e8dcad12db8",
     }
 
     @staticmethod
-    def _digest(result) -> str:
-        import hashlib
-
-        blob = repr((
-            result.events,
-            result.accepted,
-            result.rejected,
-            result.mean_memory_utilization,
-            result.peak_concurrent_tenants,
-        ))
+    def _digest(report) -> str:
+        blob = json.dumps(
+            {
+                "decisions": [d.to_dict() for d in report.decisions],
+                "accepted": report.accepted,
+                "rejected": report.rejected,
+                "mean_memory_utilization": report.mean_memory_utilization,
+                "peak_concurrent_tenants": report.peak_concurrent_tenants,
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        )
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def test_warns_once_per_process(self, cluster):
-        from repro.extensions import admission
-
-        admission._warned.discard("simulate_admissions")
-        with pytest.warns(DeprecationWarning, match="replay_admissions"):
-            simulate_admissions(
-                cluster, n_tenants=1, make_venv=make_small, seed=0
-            )
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            simulate_admissions(  # second call: silent
-                cluster, n_tenants=1, make_venv=make_small, seed=0
-            )
-
     def test_trace_byte_identical_to_pre_refactor_small(self, cluster):
-        result = simulate_admissions(
+        report = simulate(
             cluster, n_tenants=20, make_venv=make_small, mean_lifetime=5.0, seed=11
         )
-        assert self._digest(result) == self.PINNED["small"]
+        assert self._digest(report) == self.PINNED["small"]
 
     def test_trace_byte_identical_to_pre_refactor_big(self, cluster):
-        result = simulate_admissions(
+        report = simulate(
             cluster, n_tenants=25, make_venv=make_big, mean_lifetime=15.0, seed=7
         )
-        assert self._digest(result) == self.PINNED["big"]
+        assert self._digest(report) == self.PINNED["big"]

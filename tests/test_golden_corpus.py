@@ -33,11 +33,16 @@ class TestDigest:
         assert len(d1) == 64  # sha256 hex
 
     def test_engine_independent(self, small_instance):
+        """Routing every kernel miss through the reference routers too
+        (the differential cache) finds no disagreement and leaves the
+        digest unchanged."""
         cluster, venv = small_instance
-        m_dict = hmn_map(cluster, venv, HMNConfig(engine="dict"))
-        m_comp = hmn_map(cluster, venv, HMNConfig(engine="compiled"))
-        assert conformance.digest(cluster, venv, m_dict) == conformance.digest(
-            cluster, venv, m_comp
+        cache = conformance.DifferentialRoutingCache(cluster)
+        m_checked = hmn_map(cluster, venv, HMNConfig(), cache=cache)
+        m_plain = hmn_map(cluster, venv, HMNConfig())
+        assert cache.checked > 0 and cache.mismatches == []
+        assert conformance.digest(cluster, venv, m_checked) == conformance.digest(
+            cluster, venv, m_plain
         )
 
     def test_wall_clock_excluded(self, small_instance):

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.errors import RoutingError
 from repro.hmn import HMNConfig, run_networking
-from repro.routing import LatencyOracle
+from repro.routing import RoutingCache
 
 
 def place(state, venv, assignment):
@@ -81,15 +81,18 @@ class TestBasicRouting:
             run_networking(state, v, HMNConfig())
 
     def test_shared_oracle_reused(self, line3):
-        # Adopting a caller-warmed LatencyOracle is a dict-engine
-        # contract; the compiled engine shares labels through the
-        # RoutingCache's CompiledLatencyOracle instead.
+        # A shared RoutingCache carries the latency oracle: a second
+        # stage over a fresh state reuses its tables.
         v = two_guests()
-        state = ClusterState(line3)
-        place(state, v, {0: 0, 1: 2})
-        oracle = LatencyOracle(line3)
-        run_networking(state, v, HMNConfig(engine="dict"), oracle=oracle)
-        assert oracle.cached_destinations >= 1
+        cache = RoutingCache(line3)
+        for load in (0.0, 1.0):
+            state = ClusterState(line3)
+            if load:  # a different residual table: the path memo misses
+                state.reserve_path([0, 1], load)
+            place(state, v, {0: 0, 1: 2})
+            run_networking(state, v, HMNConfig(), cache=cache)
+        assert cache.label_tables == 1
+        assert cache.label_hits >= 1
 
 
 class TestOrderingEffect:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro import io as repro_io
 from repro.core import Mapping, PhysicalCluster, VirtualEnvironment
 from repro.errors import ModelError
@@ -80,33 +81,33 @@ class TestFiles:
     def test_save_load_dispatch(self, cluster, venv, tmp_path):
         mapping = hmn_map(cluster, venv)
         paths = {
-            "cluster": repro_io.save_json(cluster, tmp_path / "c.json"),
-            "venv": repro_io.save_json(venv, tmp_path / "v.json"),
-            "mapping": repro_io.save_json(mapping, tmp_path / "m.json"),
+            "cluster": api.save(cluster, tmp_path / "c.json"),
+            "venv": api.save(venv, tmp_path / "v.json"),
+            "mapping": api.save(mapping, tmp_path / "m.json"),
         }
-        assert isinstance(repro_io.load_json(paths["cluster"]), PhysicalCluster)
-        assert isinstance(repro_io.load_json(paths["venv"]), VirtualEnvironment)
-        assert isinstance(repro_io.load_json(paths["mapping"]), Mapping)
+        assert isinstance(api.load_cluster(paths["cluster"]), PhysicalCluster)
+        assert isinstance(api.load_venv(paths["venv"]), VirtualEnvironment)
+        assert isinstance(api.load_mapping(paths["mapping"]), Mapping)
 
     def test_load_unknown_format(self, tmp_path):
         bad = tmp_path / "x.json"
         bad.write_text('{"format": "repro/alien@9"}')
         with pytest.raises(ModelError, match="unknown format"):
-            repro_io.load_json(bad)
+            api.load_cluster(bad)
         bad.write_text("[1, 2, 3]")
         with pytest.raises(ModelError, match="not a JSON object"):
-            repro_io.load_json(bad)
+            api.load_cluster(bad)
 
     def test_save_unknown_type(self, tmp_path):
         with pytest.raises(ModelError, match="cannot serialize"):
-            repro_io.save_json(object(), tmp_path / "x.json")
+            api.save(object(), tmp_path / "x.json")
 
     def test_full_cycle_still_valid(self, cluster, venv, tmp_path):
         """Save everything, reload, and the mapping still validates."""
         from repro.core import validate_mapping
 
         mapping = hmn_map(cluster, venv)
-        c2 = repro_io.load_json(repro_io.save_json(cluster, tmp_path / "c.json"))
-        v2 = repro_io.load_json(repro_io.save_json(venv, tmp_path / "v.json"))
-        m2 = repro_io.load_json(repro_io.save_json(mapping, tmp_path / "m.json"))
+        c2 = api.load_cluster(api.save(cluster, tmp_path / "c.json"))
+        v2 = api.load_venv(api.save(venv, tmp_path / "v.json"))
+        m2 = api.load_mapping(api.save(mapping, tmp_path / "m.json"))
         validate_mapping(c2, v2, m2)

@@ -339,12 +339,23 @@ def small_instance(seed=2009):
 class TestTracedMapping:
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
     def test_traced_mapping_byte_identical(self, engine):
+        # The "dict" arm maps through the differential cache, which
+        # re-runs every kernel miss on the dict-space reference routers.
+        from repro.conformance import DifferentialRoutingCache
+
         cluster, venv = small_instance()
-        config = HMNConfig(engine=engine)
-        plain = hmn_map(cluster, venv, config)
+        config = HMNConfig()
+
+        def cache():
+            return DifferentialRoutingCache(cluster) if engine == "dict" else None
+
+        plain = hmn_map(cluster, venv, config, cache=cache())
+        traced_cache = cache()
         with obs.recording() as tracer:
-            traced = hmn_map(cluster, venv, config)
+            traced = hmn_map(cluster, venv, config, cache=traced_cache)
         assert canon(plain) == canon(traced)
+        if traced_cache is not None:
+            assert traced_cache.checked > 0 and traced_cache.mismatches == []
         names = {s["name"] for s in tracer.spans}
         assert {"hmn.map", "hmn.hosting", "hmn.networking", "route.query"} <= names
         assert validate_trace(tracer.spans) == []

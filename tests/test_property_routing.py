@@ -5,8 +5,8 @@ Invariants:
 * every returned path is simple, starts/ends correctly and satisfies
   its constraints (bandwidth per edge, accumulated latency);
 * Algorithm 1's bottleneck equals the exhaustive optimum on small
-  random graphs, and the fast (RoutingGraph) path is equivalent to the
-  accessor path;
+  random graphs, and the fast path (the compiled kernel) is equivalent
+  to the accessor path;
 * the backtracking DFS finds a path iff the exhaustive check says one
   exists.
 """
@@ -25,9 +25,9 @@ from repro.core import ClusterState, Host, PhysicalCluster
 from repro.errors import RoutingError
 from repro.routing import (
     LatencyOracle,
-    RoutingGraph,
     backtracking_dfs,
     bottleneck_route,
+    bottleneck_route_compiled,
     k_shortest_latency_paths,
 )
 
@@ -100,20 +100,17 @@ class TestBottleneckOptimality:
         src, dst = (int(x) for x in rng.choice(cluster.n_hosts, size=2, replace=False))
         state = ClusterState(cluster)
         oracle = LatencyOracle(cluster)
-        graph = RoutingGraph(cluster)
         kwargs = dict(bandwidth=float(rng.uniform(0, 200)), latency_bound=float(rng.uniform(10, 80)))
         try:
             slow = bottleneck_route(cluster, src, dst, residual_bw=state.residual_bw,
                                     oracle=oracle, **kwargs)
         except RoutingError:
             try:
-                bottleneck_route(cluster, src, dst, oracle=oracle, graph=graph,
-                                 bw_table=state.bw_table, **kwargs)
+                bottleneck_route_compiled(state.topology, state.bw_array, src, dst, **kwargs)
                 raise AssertionError("fast path succeeded where accessor path failed")
             except RoutingError:
                 return
-        fast = bottleneck_route(cluster, src, dst, oracle=oracle, graph=graph,
-                                bw_table=state.bw_table, **kwargs)
+        fast = bottleneck_route_compiled(state.topology, state.bw_array, src, dst, **kwargs)
         assert slow.nodes == fast.nodes
         assert math.isclose(slow.bottleneck, fast.bottleneck, rel_tol=1e-12)
 

@@ -14,8 +14,8 @@ Covers the four layers below the chaos operator:
   state;
 
 plus the headline conformance guarantee: enabling redundancy never
-changes the primary mapping's digest — across engines and across the
-shard pipeline.
+changes the primary mapping's digest — with every route checked
+against the reference routers, and across the shard pipeline.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.redundancy import (
 )
 from repro.routing.cache import RoutingCache
 from repro.topology import fat_tree_cluster, switched_cluster, torus_cluster
-from repro.workload import LOW_LEVEL, generate_virtual_environment, paper_clusters
+from repro.workload import HIGH_LEVEL, LOW_LEVEL, generate_virtual_environment, paper_clusters
 
 SEED = 2009
 
@@ -350,12 +350,24 @@ class TestRedundancyStage:
 
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
     def test_digest_identity_across_k(self, torus, engine):
-        venv = _venv(5)
-        base = hmn_map(torus, venv, HMNConfig(engine=engine))
+        # The "dict" arm routes the redundant run through the
+        # differential cache: every primary and backup route is re-run
+        # on the dict-space reference routers and must agree.
+        from repro.conformance import DifferentialRoutingCache
+
+        cache = DifferentialRoutingCache(torus) if engine == "dict" else None
+        # High-level guests do not all fit one host, so links get
+        # primary and backup routes.
+        venv = generate_virtual_environment(
+            10, workload=HIGH_LEVEL, density=0.4, seed=SEED
+        )
+        base = hmn_map(torus, venv, HMNConfig())
         red = hmn_map(
-            torus, venv, HMNConfig(engine=engine, redundancy=2, backup_paths=True)
+            torus, venv, HMNConfig(redundancy=2, backup_paths=True), cache=cache
         )
         assert digest(torus, venv, base) == digest(torus, venv, red)
+        if cache is not None:
+            assert cache.checked > 0 and cache.mismatches == []
 
     def test_digest_identity_under_shard(self, fat_tree):
         venv = _venv(6, density=0.3)

@@ -97,13 +97,19 @@ class TestFastFailover:
         assert result.backups_activated == 0
 
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
-    def test_redundant_chaos_selfchecks_clean(self, engine):
+    def test_redundant_chaos_selfchecks_clean(self, engine, request):
+        # The "dict" arm also re-runs every kernel miss (primary,
+        # backup and failover routes) on the dict-space reference
+        # routers, which must agree on every query.
+        caches = request.getfixturevalue("differential_caches") if engine == "dict" else []
         cluster = torus_cluster(2, 4, seed=SEED)
         result = run_chaos(
             cluster, n_events=150, seed=SEED,
-            config=HMNConfig(engine=engine, redundancy=1, backup_paths=True),
+            config=HMNConfig(redundancy=1, backup_paths=True),
             selfcheck=True,
         )
+        assert all(c.mismatches == [] for c in caches)
+        assert engine == "compiled" or sum(c.checked for c in caches) > 0
         assert result.validations > 0
         assert result.failovers > 0  # the machinery demonstrably fired
         summary = survivability(result)

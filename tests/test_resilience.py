@@ -11,7 +11,8 @@ Three layers:
   re-validates the full live set after each event and raises on any
   violation).
 * **Determinism** — same seed, same result, byte for byte: across
-  repeat runs, across routing engines, and across worker processes.
+  repeat runs, with every route checked against the reference routers,
+  and across worker processes.
 """
 
 from __future__ import annotations
@@ -280,11 +281,11 @@ class TestChaosRuns:
 
 
 # ----------------------------------------------------------------------
-# Determinism: repeat runs, engines, worker processes
+# Determinism: repeat runs, reference-checked routing, worker processes
 # ----------------------------------------------------------------------
 
 
-def _chaos_json(seed: int, engine: str) -> str:
+def _chaos_json(seed: int) -> str:
     """Run one chaos experiment and return its canonical JSON (used
     both in-process and from worker processes)."""
     cluster = paper_clusters(seed=SEED)["switched"]
@@ -294,7 +295,7 @@ def _chaos_json(seed: int, engine: str) -> str:
         n_events=120,
         seed=seed,
         model=model,
-        config=HMNConfig(engine=engine),
+        config=HMNConfig(),
         selfcheck=True,
     )
     return json.dumps(result.to_dict(include_wall=False), sort_keys=True)
@@ -302,18 +303,24 @@ def _chaos_json(seed: int, engine: str) -> str:
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
-        assert _chaos_json(11, "compiled") == _chaos_json(11, "compiled")
+        assert _chaos_json(11) == _chaos_json(11)
 
     def test_different_seeds_differ(self):
-        assert _chaos_json(11, "compiled") != _chaos_json(12, "compiled")
+        assert _chaos_json(11) != _chaos_json(12)
 
-    def test_engines_byte_identical(self):
-        assert _chaos_json(11, "dict") == _chaos_json(11, "compiled")
+    def test_engines_byte_identical(self, differential_caches, monkeypatch):
+        """Routing every kernel miss through the reference routers too
+        changes no byte, and no query disagrees."""
+        checked = _chaos_json(11)
+        assert sum(c.checked for c in differential_caches) > 0
+        assert all(c.mismatches == [] for c in differential_caches)
+        monkeypatch.undo()  # back to the plain RoutingCache
+        assert checked == _chaos_json(11)
 
     def test_worker_processes_byte_identical(self):
         """Two subprocesses and the parent all produce the same bytes —
         chaos runs survive process-pool execution (``workers>1``)."""
         with ProcessPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(_chaos_json, 11, "compiled") for _ in range(2)]
+            futures = [pool.submit(_chaos_json, 11) for _ in range(2)]
             remote = [f.result(timeout=300) for f in futures]
-        assert remote[0] == remote[1] == _chaos_json(11, "compiled")
+        assert remote[0] == remote[1] == _chaos_json(11)

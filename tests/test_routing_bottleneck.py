@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ClusterState, Host, PhysicalCluster
 from repro.errors import ModelError, RoutingError
-from repro.routing import LatencyOracle, RoutingGraph, bottleneck_route
+from repro.routing import LatencyOracle, bottleneck_route, bottleneck_route_compiled
 
 
 class TestObjective:
@@ -78,17 +78,13 @@ class TestFailures:
 
 
 class TestFastPath:
-    def test_graph_requires_table(self, diamond):
-        with pytest.raises(ModelError, match="together"):
-            bottleneck_route(
-                diamond, 0, 3, bandwidth=1.0, latency_bound=100.0, graph=RoutingGraph(diamond)
-            )
+    """The compiled kernel (the production fast path) against this
+    reference router on the same residual state."""
 
     def test_equivalence_with_accessor_path(self, diamond):
         state = ClusterState(diamond)
         state.reserve_path([0, 1, 3], 60.0)
         oracle = LatencyOracle(diamond)
-        graph = RoutingGraph(diamond)
         for a in diamond.host_ids:
             for b in diamond.host_ids:
                 if a == b:
@@ -97,9 +93,9 @@ class TestFastPath:
                     diamond, a, b, bandwidth=30.0, latency_bound=100.0,
                     residual_bw=state.residual_bw, oracle=oracle,
                 )
-                fast = bottleneck_route(
-                    diamond, a, b, bandwidth=30.0, latency_bound=100.0,
-                    oracle=oracle, graph=graph, bw_table=state.bw_table,
+                fast = bottleneck_route_compiled(
+                    state.topology, state.bw_array, a, b,
+                    bandwidth=30.0, latency_bound=100.0,
                 )
                 assert slow.nodes == fast.nodes
                 assert slow.bottleneck == pytest.approx(fast.bottleneck)
@@ -107,16 +103,13 @@ class TestFastPath:
 
     def test_fast_path_sees_live_reservations(self, diamond):
         state = ClusterState(diamond)
-        graph = RoutingGraph(diamond)
-        before = bottleneck_route(
-            diamond, 0, 3, bandwidth=1.0, latency_bound=100.0,
-            graph=graph, bw_table=state.bw_table,
+        before = bottleneck_route_compiled(
+            state.topology, state.bw_array, 0, 3, bandwidth=1.0, latency_bound=100.0,
         )
         assert before.nodes == (0, 2, 3)
         state.reserve_path([0, 2, 3], 950.0)
-        after = bottleneck_route(
-            diamond, 0, 3, bandwidth=1.0, latency_bound=100.0,
-            graph=graph, bw_table=state.bw_table,
+        after = bottleneck_route_compiled(
+            state.topology, state.bw_array, 0, 3, bandwidth=1.0, latency_bound=100.0,
         )
         assert after.nodes == (0, 1, 3)
 

@@ -163,8 +163,12 @@ class TestCacheCorrectness:
         cache = RoutingCache(line3)
         with pytest.raises(ModelError):
             cache.route(ClusterState(diamond), 0, 3, bandwidth=1.0, latency_bound=100.0)
-        with pytest.raises(ModelError):
-            RoutingCache(line3, oracle=LatencyOracle(diamond))
+        # The cache's latency oracle belongs to the topology it first
+        # saw; a state over the recompiled topology is refused.
+        cache.route(ClusterState(line3), 0, 2, bandwidth=1.0, latency_bound=100.0)
+        line3.connect(0, 2, bw=1000.0, lat=5.0)
+        with pytest.raises(ModelError, match="topology"):
+            cache.route(ClusterState(line3), 0, 2, bandwidth=2.0, latency_bound=100.0)
 
     def test_eviction_keeps_cache_bounded(self, diamond):
         state = ClusterState(diamond)

@@ -19,9 +19,9 @@ from repro.errors import ModelError, RoutingError
 from repro.hmn import HMNConfig, hmn_map
 from repro.routing import (
     LatencyOracle,
-    RoutingGraph,
     bottleneck_route,
     bottleneck_route_labels,
+    bottleneck_route_labels_compiled,
 )
 
 from tests.test_property_routing import random_cluster_strategy
@@ -48,11 +48,6 @@ class TestBasics:
             bottleneck_route_labels(diamond, 0, 3, bandwidth=1.0, latency_bound=5.0)
         with pytest.raises(ModelError):
             bottleneck_route_labels(diamond, 0, 3, bandwidth=-1.0, latency_bound=5.0)
-        with pytest.raises(ModelError, match="together"):
-            bottleneck_route_labels(
-                diamond, 0, 3, bandwidth=1.0, latency_bound=100.0,
-                graph=RoutingGraph(diamond),
-            )
 
     def test_zero_latency_cycles_terminate(self):
         """Zero-latency links could cycle forever without dominance
@@ -111,18 +106,16 @@ class TestEquivalenceWithAlgorithm1:
         rng = np.random.default_rng(pair_seed)
         src, dst = (int(x) for x in rng.choice(cluster.n_hosts, size=2, replace=False))
         state = ClusterState(cluster)
-        graph = RoutingGraph(cluster)
+        topo, bw = state.topology, state.bw_array
         kwargs = dict(bandwidth=float(rng.uniform(0, 200)), latency_bound=float(rng.uniform(10, 80)))
         try:
             slow = bottleneck_route_labels(cluster, src, dst,
                                            residual_bw=state.residual_bw, **kwargs)
         except RoutingError:
             with pytest.raises(RoutingError):
-                bottleneck_route_labels(cluster, src, dst, graph=graph,
-                                        bw_table=state.bw_table, **kwargs)
+                bottleneck_route_labels_compiled(topo, bw, src, dst, **kwargs)
             return
-        fast = bottleneck_route_labels(cluster, src, dst, graph=graph,
-                                       bw_table=state.bw_table, **kwargs)
+        fast = bottleneck_route_labels_compiled(topo, bw, src, dst, **kwargs)
         assert math.isclose(slow.bottleneck, fast.bottleneck, rel_tol=1e-12)
 
 

@@ -10,7 +10,10 @@ service quietly diverged from its history.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,11 +187,34 @@ class TestResume:
         with pytest.raises(StoreError, match="different cluster"):
             ServiceCore.resume(switched, path)
 
+    def test_resumes_store_written_with_engine_field(self, tmp_path):
+        """A store written while ``HMNConfig`` still had an ``engine``
+        field (its meta config says ``"compiled"``, one request's
+        override ``"dict"``) resumes bit-exactly: every decision and
+        mapping replays equal to the stored one, and the residual
+        tables match the writing process's final state byte for byte."""
+        fixture = Path(__file__).parent / "fixtures" / "service_store_engine_field.jsonl"
+        text = fixture.read_text()
+        assert '"engine":"compiled"' in text and '"engine":"dict"' in text
+        path = tmp_path / "old.jsonl"
+        shutil.copyfile(fixture, path)
+        resumed = ServiceCore.resume(None, path, config=HMNConfig())
+        assert (resumed.accepted, resumed.rejected) == (5, 0)
+        assert sorted(resumed.live_tenants) == [0, 2, 3, 4]
+        assert resumed.state.objective() == 421.8053819773387
+        a = resumed.state.arrays
+        residuals = b"".join(x.tobytes() for x in (a.mem, a.stor, a.cpu, a.bw))
+        assert hashlib.sha256(residuals).hexdigest() == (
+            "e761290cebe1d8f0c807e9e52e5f1bef724d4fdfddd25b871531cc7ea1457bb1"
+        )
+        resumed.close()
+        assert path.read_text() == text  # resuming appends nothing
+
     def test_resume_rejects_foreign_config(self, cluster, tmp_path):
         path = tmp_path / "s.jsonl"
         populated_store(cluster, path)
         with pytest.raises(StoreError, match="different .* config"):
-            ServiceCore.resume(cluster, path, config=HMNConfig(engine="dict"))
+            ServiceCore.resume(cluster, path, config=HMNConfig(router="label_setting"))
 
     def test_tampered_decision_detected(self, cluster, tmp_path):
         path = tmp_path / "s.jsonl"
