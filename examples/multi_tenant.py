@@ -3,29 +3,31 @@
 
 The paper assumes "the entire cluster is available for a single tester
 per time" (Section 3.2).  This example exercises the library's
-extension beyond that: a shared :class:`ClusterState` carries several
-testers' placements and reservations, so each new emulated environment
-is mapped onto whatever capacity the earlier ones left, and tenants
-can be torn down independently.  One shared :class:`RoutingCache`
-serves every tenant's routing: its latency tables depend only on the
-topology, so later tenants reuse the tables earlier ones built.
+extension beyond that: a :class:`TenantTable` keeps one shared
+:class:`ClusterState` carrying several testers' placements and
+reservations, so each new emulated environment is mapped onto whatever
+capacity the earlier ones left, and tenants can be torn down
+independently — the table knows everything a tenant holds and gives
+all of it back.  Its shared :class:`RoutingCache` serves every
+tenant's routing: the latency tables depend only on the topology, so
+later tenants reuse the tables earlier ones built.
 
 Run:  python examples/multi_tenant.py
 """
 
 from __future__ import annotations
 
-from repro.core import ClusterState, validate_mapping
+from repro.core import validate_mapping
 from repro.errors import MappingError
-from repro.api import map_virtual_env
-from repro.routing import RoutingCache
+from repro.hmn import HMNConfig
+from repro.service import TenantTable
 from repro.workload import HIGH_LEVEL, LOW_LEVEL, generate_virtual_environment, paper_clusters
 
 
 def main() -> None:
     cluster = paper_clusters(seed=17)["torus"]
-    state = ClusterState(cluster)  # shared, lives across tenants
-    cache = RoutingCache(cluster)  # latency tables + path memo, shared too
+    table = TenantTable(cluster)  # shared state + routing cache, across tenants
+    state, cache, config = table.state, table.cache, HMNConfig()
     print(f"Shared testbed: {cluster}\n")
 
     tenants = [
@@ -37,15 +39,13 @@ def main() -> None:
             120, workload=HIGH_LEVEL, density=0.02, seed=3, id_offset=20_000)),
     ]
 
-    mappings = {}
     for name, venv in tenants:
         try:
-            mapping = map_virtual_env(cluster, venv, state=state, cache=cache)
+            mapping = table.admit(name, venv, config).mapping
         except MappingError as exc:
             print(f"{name:<12} REJECTED — {type(exc).__name__}: not enough residual capacity")
             continue
         validate_mapping(cluster, venv, mapping)
-        mappings[name] = (venv, mapping)
         used_mem = cluster.total_mem() - sum(
             state.residual_mem(h) for h in cluster.host_ids
         )
@@ -56,12 +56,7 @@ def main() -> None:
 
     # Tear down one tenant and show the capacity coming back.
     name = "bob/p2p"
-    venv, mapping = mappings[name]
-    for guest in venv.guests():
-        state.unplace(guest.id)
-    for key, nodes in mapping.paths.items():
-        if len(nodes) > 1:
-            state.release_path(nodes, venv.vlink(*key).vbw)
+    table.release(name)
     print(f"\n{name} torn down: {state.n_placed} guests remain, "
           f"objective back to {state.objective():.1f}")
 
@@ -69,7 +64,7 @@ def main() -> None:
     dave = generate_virtual_environment(
         300, workload=LOW_LEVEL, density=0.01, seed=4, id_offset=30_000
     )
-    mapping = map_virtual_env(cluster, dave, state=state, cache=cache)
+    mapping = table.admit("dave/p2p", dave, config).mapping
     validate_mapping(cluster, dave, mapping)
     print(f"dave/p2p     admitted into the freed capacity: {dave.n_guests} guests, "
           f"objective {state.objective():.1f}")

@@ -47,7 +47,7 @@ def _with_redundancy(state, venv, config, mapping, *, cache, ledger):
             meta, stats = run_redundancy(
                 state, venv, config, mapping.paths, cache=cache, ledger=ledger
             )
-        except Exception:
+        except BaseException:
             if ledger is not None:
                 ledger.restore(ledger_snap)
             raise
@@ -89,7 +89,8 @@ def hmn_map(
         Optional pre-existing allocation state — pass one to map a new
         virtual environment onto a cluster that already carries
         earlier mappings (multi-tenant extension; the paper assumes an
-        empty testbed).  The state is mutated.
+        empty testbed).  The state is mutated on success and restored
+        exactly on any failure, interrupts included.
     cache:
         Optional shared :class:`~repro.routing.cache.RoutingCache`
         (latency tables plus the epoch-keyed path memo).  Pass one
@@ -97,10 +98,10 @@ def hmn_map(
         work; a private cache is built otherwise.
     backup_ledger:
         Optional shared :class:`~repro.redundancy.ledger.BackupLedger`
-        for ``config.backup_paths`` reservations.  Multi-tenant
-        callers (the chaos operator) pass one so backups of
-        *different* tenants multiplex the same shared-risk headroom; a
-        private per-mapping ledger is built otherwise.  Must wrap the
+        for ``config.backup_paths`` reservations.  Multi-tenant callers
+        (:class:`~repro.service.core.TenantTable`) pass one so backups
+        of *different* tenants multiplex the same shared-risk headroom;
+        a private per-mapping ledger is built otherwise.  Must wrap the
         same state the mapping runs against.
 
     Returns
@@ -154,7 +155,7 @@ def hmn_map(
             return _with_redundancy(
                 state, venv, config, mapping, cache=cache, ledger=backup_ledger
             )
-        except Exception:
+        except BaseException:
             if pre_shard is not None:
                 state.restore_from(pre_shard)
             raise
@@ -195,7 +196,7 @@ def hmn_map(
             paths, networking_stats = run_stage(
                 "networking", lambda: run_networking(state, venv, config, cache=cache)
             )
-        except Exception:
+        except BaseException:
             if snapshot is not None:
                 state.restore_from(snapshot)
             raise
@@ -229,7 +230,7 @@ def hmn_map(
                 mapping = _with_redundancy(
                     state, venv, config, mapping, cache=cache, ledger=backup_ledger
                 )
-            except Exception:
+            except BaseException:
                 if snapshot is not None:
                     state.restore_from(snapshot)
                 raise

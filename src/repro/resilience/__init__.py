@@ -9,21 +9,18 @@ it can a self-healing operator keep alive?
   generator of deterministic virtual-time fault traces (host crashes,
   switch failures, link degradations, tenant churn);
 * :mod:`~repro.resilience.operator` — :class:`ChaosOperator` /
-  :func:`run_chaos`, the self-healing loop replaying a trace against a
-  live shared :class:`~repro.core.state.ClusterState` with
-  transactional repairs, retry/shedding policy and per-event
-  survivability sampling;
+  :func:`run_chaos`, the self-healing loop replaying a trace against
+  the live tenants of a :class:`~repro.service.core.TenantTable` (the
+  one the admission service drives too) with transactional repairs,
+  retry/shedding policy and per-event survivability sampling;
 * :mod:`~repro.resilience.transactions` — :func:`joint_transaction`,
-  the snapshot/rollback discipline those repairs (and the admission
-  service) share;
+  the snapshot/rollback discipline those repairs share;
 * :mod:`~repro.resilience.metrics` — :func:`survivability`, the
   scalar summary (availability, repair latency, objective drift).
 
 Exports resolve lazily (PEP 562): the operator pulls in the admission
-service's release path, which in turn leans on
-:mod:`~repro.resilience.transactions` — laziness keeps that triangle
-import-order-free, and spares transaction-only importers the whole
-chaos stack.
+service's tenant table, and laziness spares transaction-only importers
+the whole chaos and service stack.
 """
 
 from typing import Any

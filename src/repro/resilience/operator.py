@@ -1,14 +1,16 @@
 """The self-healing operator loop: replay a chaos trace, keep tenants up.
 
 This is the continuous counterpart of the one-shot repairs in
-:mod:`repro.extensions.remap`.  A :class:`ChaosOperator` owns one
-long-lived :class:`~repro.core.state.ClusterState` and
-:class:`~repro.routing.cache.RoutingCache` for the whole run and feeds
-a :class:`~repro.resilience.faults.FailureModel` trace through it:
+:mod:`repro.extensions.remap`.  A :class:`ChaosOperator` drives one
+long-lived :class:`~repro.service.core.TenantTable` — the shared
+:class:`~repro.core.state.ClusterState`, routing cache, backup ledger
+and live tenants, the same table the admission service drives — for
+the whole run and feeds a :class:`~repro.resilience.faults.FailureModel`
+trace through it:
 
-* **tenant arrivals** are admitted with ``hmn_map(..., state=...)``
-  against the residual (and fault-masked) capacity, rejections are
-  recorded;
+* **tenant arrivals** are admitted through the table against the
+  residual (and fault-masked) capacity, rejections are recorded;
+  departures return everything the tenant holds;
 * **host crashes** block the host (:meth:`ClusterState.block_host`),
   blackhole its links, then *heal* every tenant with a displaced guest
   or a path through the dead machine — re-place displaced guests on
@@ -44,7 +46,7 @@ determinism tests compare).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 import numpy as np
@@ -61,15 +63,12 @@ from repro.errors import ConfigError, MappingError, ModelError, PlacementError
 from repro.errors import CapacityError, RoutingError
 from repro.hmn.config import HMNConfig, keyword_only
 from repro.hmn.networking import run_networking
-from repro.hmn.pipeline import hmn_map
-from repro.redundancy.ledger import BackupLedger, RiskKey
 from repro.redundancy.placement import REPLICA_STRIDE, replica_guest
-from repro.redundancy.stage import redundancy_records, risks_of_path
+from repro.redundancy.stage import risks_of_path
 from repro.resilience.faults import FailureModel, FaultEvent
 from repro.resilience.transactions import joint_transaction
-from repro.routing.cache import RoutingCache
 from repro.seeding import derive
-from repro.service.core import release_tenant
+from repro.service.core import TenantEntry, TenantTable, _Backup
 
 __all__ = [
     "RepairPolicy",
@@ -259,46 +258,6 @@ class ChaosResult:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class _Backup:
-    """One pre-provisioned backup path held for a live tenant's vlink.
-
-    ``risks`` are the shared-risk keys the ledger admitted it under —
-    recorded at provisioning time so retirement subtracts exactly what
-    admission added, even after the primary was re-routed since.
-    """
-
-    nodes: tuple[NodeId, ...]
-    vbw: float
-    risks: frozenset[RiskKey]
-    disjoint: str
-
-
-@dataclass
-class _Tenant:
-    """A live tenant: its environment and its current mapping."""
-
-    tenant: int
-    venv: VirtualEnvironment
-    mapping: Mapping
-    admitted_at: float
-    total_vbw: float
-    repairs: int = 0
-    #: guest id -> surviving standby replicas as (replica_id, host)
-    replicas: dict[int, list[tuple[int, NodeId]]] = field(default_factory=dict)
-    #: vlink key -> pre-provisioned backup path
-    backups: dict[VLinkKey, _Backup] = field(default_factory=dict)
-
-    @property
-    def backup_vbw(self) -> float:
-        """Aggregate demand of held backups (the degradation order key)."""
-        return sum(b.vbw for b in self.backups.values())
-
-    @property
-    def replica_count(self) -> int:
-        return sum(len(v) for v in self.replicas.values())
-
-
 def _default_tenant(i: int, rng: np.random.Generator) -> VirtualEnvironment:
     from repro.workload import LOW_LEVEL, generate_virtual_environment
 
@@ -355,9 +314,12 @@ class ChaosOperator:
         self.seed = seed
         self.selfcheck = selfcheck
 
-        self._state = ClusterState(cluster)
-        self._cache = RoutingCache(cluster)
-        self._live: dict[int, _Tenant] = {}
+        #: live tenants and everything they hold; the state, cache and
+        #: ledger names below are the table's own objects
+        self.tenants = TenantTable(cluster)
+        self._state = self.tenants.state
+        self._cache = self.tenants.cache
+        self._ledger = self.tenants.ledger
         self._dead_hosts: set[NodeId] = set()
         self._dead_switches: set[NodeId] = set()
         self._degraded: dict[EdgeKey, float] = {}
@@ -375,10 +337,9 @@ class ChaosOperator:
         self._repairs: list[RepairRecord] = []
         self._samples: list[ChaosSample] = []
 
-        #: redundancy machinery (None of it engages at redundancy=0 /
+        #: redundancy machinery (none of it engages at redundancy=0 /
         #: backup_paths=False — chaos runs stay byte-identical)
         self._redundant = bool(self.config.redundancy or self.config.backup_paths)
-        self._ledger = BackupLedger(self._state) if self._redundant else None
         self._failovers = 0
         self._replicas_activated = 0
         self._backups_activated = 0
@@ -437,58 +398,17 @@ class ChaosOperator:
     # ------------------------------------------------------------------
     # tenant lifecycle
     # ------------------------------------------------------------------
-    def _admit(self, now: float, tenant: int) -> None:
+    def _admit(self, tenant: int) -> None:
         venv = self.make_venv(tenant, derive(self.seed, "tenant", tenant))
         try:
-            mapping = hmn_map(
-                self.cluster, venv, self.config, state=self._state, cache=self._cache,
-                backup_ledger=self._ledger,
-            )
+            entry = self.tenants.admit(tenant, venv, self.config)
         except MappingError:
-            # hmn_map is transactional on shared states: nothing leaked.
+            # The table's admission is transactional: nothing leaked.
             self._rejected += 1
             return
         self._admitted += 1
-        rec = _Tenant(
-            tenant=tenant,
-            venv=venv,
-            mapping=mapping,
-            admitted_at=now,
-            total_vbw=venv.total_vbw(),
-        )
-        if self._redundant:
-            replicas, backups, disjoint = redundancy_records(mapping)
-            rec.replicas = replicas
-            rec.backups = {
-                key: _Backup(
-                    nodes=nodes,
-                    vbw=venv.vlink(*key).vbw,
-                    risks=risks_of_path(mapping.paths[key]),
-                    disjoint=disjoint.get(key, "link"),
-                )
-                for key, nodes in backups.items()
-            }
-        self._live[tenant] = rec
         if self.selfcheck:
-            self._validate(rec)
-
-    def _release_redundancy(self, rec: _Tenant) -> set[EdgeKey]:
-        """Drop a departing/shed tenant's replicas and backup
-        reservations; returns the backup edges released (for mask
-        resync)."""
-        released: set[EdgeKey] = set()
-        state = self._state
-        for gid in sorted(rec.replicas):
-            for rid, _host in rec.replicas[gid]:
-                if state.is_placed(rid):
-                    state.unplace(rid)
-        rec.replicas = {}
-        for key in sorted(rec.backups):
-            bk = rec.backups[key]
-            self._ledger.remove(bk.nodes, bk.vbw, bk.risks)
-            released.update(path_edges(bk.nodes))
-        rec.backups = {}
-        return released
+            self._validate(entry)
 
     def _shed_redundancy(self) -> bool:
         """Graceful degradation, stage one: free capacity by dropping
@@ -496,52 +416,38 @@ class ChaosOperator:
         backup-path reservations first (cheapest ``backup_vbw``, then
         tenant id), then standby replicas.  Returns True when anything
         was shed."""
-        with_backups = [r for r in self._live.values() if r.backups]
+        live = self.tenants.live.values()
+        with_backups = [r for r in live if r.backups]
         if with_backups:
-            victim = min(with_backups, key=lambda r: (r.backup_vbw, r.tenant))
+            victim = min(with_backups, key=lambda r: (r.backup_vbw, r.key))
             shed_bw = self._ledger.total_reserved
-            released: set[EdgeKey] = set()
-            for key in sorted(victim.backups):
-                bk = victim.backups[key]
-                self._ledger.remove(bk.nodes, bk.vbw, bk.risks)
-                released.update(path_edges(bk.nodes))
-            victim.backups = {}
+            released = self.tenants.drop_backups(victim)
             self._backup_bw_shed += shed_bw - self._ledger.total_reserved
             self._resync_released(released)
             return True
-        with_replicas = [r for r in self._live.values() if r.replicas]
+        with_replicas = [r for r in live if r.replicas]
         if with_replicas:
-            victim = min(with_replicas, key=lambda r: (r.replica_count, r.tenant))
-            for gid in sorted(victim.replicas):
-                for rid, _host in victim.replicas[gid]:
-                    if self._state.is_placed(rid):
-                        self._state.unplace(rid)
-            victim.replicas = {}
+            victim = min(with_replicas, key=lambda r: (r.replica_count, r.key))
+            self.tenants.drop_replicas(victim)
             return True
         return False
 
     def _depart(self, tenant: int) -> None:
-        rec = self._live.pop(tenant, None)
-        if rec is None:
+        released = self.tenants.release(tenant)
+        if released is None:
             # Rejected at arrival, or shed by an earlier repair: a shed
             # tenant stops counting as lost once it would have left.
             self._lost.pop(tenant, None)
             return
-        released = self._release_redundancy(rec) if self._redundant else set()
-        release_tenant(self._state, rec.venv, rec.mapping)
-        released.update(e for p in rec.mapping.paths.values() for e in path_edges(p))
         self._resync_released(released)
         self._departed += 1
 
     def _shed_tenant(self, tenant: int) -> None:
-        rec = self._live.pop(tenant)
-        released = self._release_redundancy(rec) if self._redundant else set()
-        release_tenant(self._state, rec.venv, rec.mapping)
-        released.update(e for p in rec.mapping.paths.values() for e in path_edges(p))
-        self._resync_released(released)
+        n_guests = self.tenants.live[tenant].venv.n_guests
+        self._resync_released(self.tenants.release(tenant))
         self._shed += 1
-        self._shed_guests += rec.venv.n_guests
-        self._lost[tenant] = rec.venv.n_guests
+        self._shed_guests += n_guests
+        self._lost[tenant] = n_guests
 
     # ------------------------------------------------------------------
     # healing
@@ -554,13 +460,33 @@ class ChaosOperator:
         """Rollback participant for the failover activation counters."""
         self._replicas_activated, self._backups_activated = snap
 
+    def _broken(
+        self, rec: TenantEntry, broken_edges: frozenset[EdgeKey]
+    ) -> tuple[list[int], list[VLinkKey]]:
+        """*rec*'s guests on dead hosts and the vlinks that a displaced
+        endpoint, a dead node or a broken edge severs, both sorted."""
+        dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
+        displaced = sorted(
+            g for g, h in rec.mapping.assignments.items() if h in dead_hosts
+        )
+        dis_set = set(displaced)
+        severed = [
+            key
+            for key, nodes in sorted(rec.mapping.paths.items())
+            if key[0] in dis_set
+            or key[1] in dis_set
+            or any(n in dead_nodes for n in nodes)
+            or any(e in broken_edges for e in path_edges(nodes))
+        ]
+        return displaced, severed
+
     def _affected_by(self, broken_edges: frozenset[EdgeKey]) -> list[int]:
         """Live tenants with a displaced guest, a path through a dead
         node, or a path over a broken edge — in tenant order."""
         dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
         out = []
-        for t in sorted(self._live):
-            mapping = self._live[t].mapping
+        for t in sorted(self.tenants.live):
+            mapping = self.tenants.live[t].mapping
             hit = any(h in dead_hosts for h in mapping.assignments.values())
             if not hit:
                 for nodes in mapping.paths.values():
@@ -576,7 +502,7 @@ class ChaosOperator:
     # ------------------------------------------------------------------
     # fast failover (pre-provisioned redundancy)
     # ------------------------------------------------------------------
-    def _activate_replica(self, rec: _Tenant, guest_id: int) -> NodeId:
+    def _activate_replica(self, rec: TenantEntry, guest_id: int) -> NodeId:
         """Promote *guest_id*'s first surviving standby: free the
         standby's memory/storage and move the real guest (CPU and all)
         onto its host.  Raises :class:`PlacementError` when no standby
@@ -598,13 +524,10 @@ class ChaosOperator:
             return host
         raise PlacementError(guest_id, "no surviving standby replica")
 
-    def _retire_backup(self, rec: _Tenant, key: VLinkKey) -> None:
-        bk = rec.backups.pop(key, None)
-        if bk is not None:
-            self._ledger.remove(bk.nodes, bk.vbw, bk.risks)
-            self._resync_released(set(path_edges(bk.nodes)))
+    def _retire_backup(self, rec: TenantEntry, key: VLinkKey) -> None:
+        self._resync_released(self.tenants.drop_backups(rec, (key,)))
 
-    def _provision_backup(self, rec: _Tenant, key: VLinkKey, primary) -> None:
+    def _provision_backup(self, rec: TenantEntry, key: VLinkKey, primary) -> None:
         """Best-effort fresh backup for a (re)routed primary path."""
         if not self.config.backup_paths or len(primary) < 2:
             return
@@ -622,14 +545,12 @@ class ChaosOperator:
         )
         if found is None:
             return
-        nodes, kind = found
+        nodes, _kind = found
         risks = risks_of_path(primary)
         if self._ledger.try_add(nodes, link.vbw, risks):
-            rec.backups[key] = _Backup(
-                nodes=nodes, vbw=link.vbw, risks=risks, disjoint=kind
-            )
+            rec.backups[key] = _Backup(nodes=nodes, vbw=link.vbw, risks=risks)
 
-    def _replenish_replicas(self, rec: _Tenant) -> None:
+    def _replenish_replicas(self, rec: TenantEntry) -> None:
         """Best-effort top-up back to ``k`` standbys per guest after a
         failover consumed some (anti-affinity rules as at admission)."""
         k = self.config.redundancy
@@ -684,28 +605,19 @@ class ChaosOperator:
 
         Returns ``(replicas_activated, backups_activated, rerouted)``.
         """
-        state, config, venv = self._state, self.config, self._live[tenant].venv
-        rec = self._live[tenant]
+        rec = self.tenants.live[tenant]
+        state, config, venv = self._state, self.config, rec.venv
         dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
         t0 = time.perf_counter()
 
-        displaced = sorted(
-            g for g, h in rec.mapping.assignments.items() if h in dead_hosts
-        )
-        dis_set = set(displaced)
-        to_fix: set[VLinkKey] = set()
+        displaced, severed = self._broken(rec, broken_edges)
+        to_fix = set(severed)
         released: set[EdgeKey] = set()
-        for key, nodes in sorted(rec.mapping.paths.items()):
-            if (
-                key[0] in dis_set
-                or key[1] in dis_set
-                or any(n in dead_nodes for n in nodes)
-                or any(e in broken_edges for e in path_edges(nodes))
-            ):
-                to_fix.add(key)
-                if len(nodes) > 1:
-                    state.release_path(nodes, venv.vlink(*key).vbw)
-                    released.update(path_edges(nodes))
+        for key in severed:
+            nodes = rec.mapping.paths[key]
+            if len(nodes) > 1:
+                state.release_path(nodes, venv.vlink(*key).vbw)
+                released.update(path_edges(nodes))
 
         n_replicas = 0
         for g in displaced:
@@ -871,7 +783,7 @@ class ChaosOperator:
             "chaos.failover", trigger=trigger, target=repr(target), time=now
         ) as sp:
             for t in affected:
-                rec = self._live[t]
+                rec = self.tenants.live[t]
                 try:
                     # Joint transaction: the shared state plus every
                     # bookkeeping table a failover mutates roll back as
@@ -920,31 +832,17 @@ class ChaosOperator:
         tenant healed, so a mid-flight failure leaves them untouched
         for the rollback.  Returns (links rerouted, guests re-placed).
         """
-        state, config = self._state, self.config
-        dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
+        state, config, dead_hosts = self._state, self.config, self._dead_hosts
 
         displaced: dict[int, list[int]] = {}
         touched: dict[int, list[VLinkKey]] = {}
         released: set[EdgeKey] = set()
         for t in affected:
-            rec = self._live[t]
-            dis = sorted(
-                g for g, h in rec.mapping.assignments.items() if h in dead_hosts
-            )
-            dis_set = set(dis)
-            keys = []
-            for key, nodes in sorted(rec.mapping.paths.items()):
-                if (
-                    key[0] in dis_set
-                    or key[1] in dis_set
-                    or any(n in dead_nodes for n in nodes)
-                    or any(e in broken_edges for e in path_edges(nodes))
-                ):
-                    keys.append(key)
-            displaced[t], touched[t] = dis, keys
-            for g in dis:
+            rec = self.tenants.live[t]
+            displaced[t], touched[t] = self._broken(rec, broken_edges)
+            for g in displaced[t]:
                 state.unplace(g)
-            for key in keys:
+            for key in touched[t]:
                 nodes = rec.mapping.paths[key]
                 if len(nodes) > 1:
                     state.release_path(nodes, rec.venv.vlink(*key).vbw)
@@ -958,7 +856,7 @@ class ChaosOperator:
         n_replaced = n_rerouted = 0
         new_mappings: dict[int, Mapping] = {}
         for t in affected:
-            rec = self._live[t]
+            rec = self.tenants.live[t]
             t0 = time.perf_counter()
             # Evacuation rule: biggest CPU demand first onto the most
             # idle host that fits (blocked hosts never fit).
@@ -1013,7 +911,7 @@ class ChaosOperator:
             )
 
         for t, mapping in new_mappings.items():
-            rec = self._live[t]
+            rec = self.tenants.live[t]
             rec.mapping = mapping
             rec.repairs += 1
             if self._redundant:
@@ -1053,9 +951,10 @@ class ChaosOperator:
         attempts = 0
         rec = obs.OBS
         with rec.span("chaos.repair", trigger=trigger, target=repr(target), time=now) as sp:
-            riders: list = [(lambda: dict(self._masks), self._restore_masks)]
-            if self._redundant:
-                riders.append((self._ledger.snapshot, self._ledger.restore))
+            riders = (
+                (lambda: dict(self._masks), self._restore_masks),
+                (self._ledger.snapshot, self._ledger.restore),
+            )
             while True:
                 attempts += 1
                 try:
@@ -1084,10 +983,10 @@ class ChaosOperator:
                     # lowest tenant id on ties — fully deterministic).
                     if self._redundant and self._shed_redundancy():
                         continue
-                    candidates = sorted(
-                        self._live.values(), key=lambda r: (r.total_vbw, r.tenant)
-                    )
-                    victim = candidates[0].tenant
+                    victim = min(
+                        self.tenants.live.values(),
+                        key=lambda r: (r.venv.total_vbw(), r.key),
+                    ).key
                     self._shed_tenant(victim)
                     shed_ids.append(victim)
                     if victim in affected:
@@ -1131,7 +1030,7 @@ class ChaosOperator:
     # ------------------------------------------------------------------
     # selfcheck
     # ------------------------------------------------------------------
-    def _validate(self, rec: _Tenant) -> None:
+    def _validate(self, rec: TenantEntry) -> None:
         """Eqs. 1-9 plus the health invariants for one live tenant."""
         validate_mapping(self.cluster, rec.venv, rec.mapping)
         self._validations += 1
@@ -1139,14 +1038,14 @@ class ChaosOperator:
         for g, h in rec.mapping.assignments.items():
             if h in self._dead_hosts:
                 raise ModelError(
-                    f"invariant violated: guest {g!r} of tenant {rec.tenant} "
+                    f"invariant violated: guest {g!r} of tenant {rec.key} "
                     f"is placed on dead host {h!r}"
                 )
         for key, nodes in rec.mapping.paths.items():
             if any(n in dead for n in nodes):
                 raise ModelError(
                     f"invariant violated: path of vlink {key} of tenant "
-                    f"{rec.tenant} crosses a dead node"
+                    f"{rec.key} crosses a dead node"
                 )
 
     # ------------------------------------------------------------------
@@ -1175,7 +1074,7 @@ class ChaosOperator:
     def _apply(self, event: FaultEvent) -> None:
         kind, target, now = event.kind, event.target, event.time
         if kind == "tenant_arrive":
-            self._admit(now, target)
+            self._admit(target)
         elif kind == "tenant_depart":
             self._depart(target)
         elif kind == "host_crash":
@@ -1219,6 +1118,10 @@ class ChaosOperator:
         else:
             raise ModelError(f"unknown chaos event kind {kind!r}")
 
+        if self.selfcheck:
+            self.tenants.audit(extra_bw=self._masks)
+        live = self.tenants.live
+        # An empty ledger sums to int 0; samples keep the float 0.0.
         backup_bw = self._ledger.total_reserved if self._redundant else 0.0
         usage = sum(self._state.bandwidth_usage().values())
         masked = sum(self._masks.values())
@@ -1226,8 +1129,8 @@ class ChaosOperator:
             ChaosSample(
                 time=now,
                 kind=kind,
-                tenants_alive=len(self._live),
-                guests_alive=sum(r.venv.n_guests for r in self._live.values()),
+                tenants_alive=len(live),
+                guests_alive=sum(r.venv.n_guests for r in live.values()),
                 guests_lost=sum(self._lost.values()),
                 objective=self._state.objective(),
                 bw_reserved=usage - masked - backup_bw,
@@ -1252,15 +1155,14 @@ class ChaosOperator:
                 validations=self._validations,
                 repairs=tuple(self._repairs),
                 samples=tuple(self._samples),
-                final_tenants=len(self._live),
-                final_guests=sum(r.venv.n_guests for r in self._live.values()),
+                final_tenants=len(self.tenants.live),
+                final_guests=sum(r.venv.n_guests for r in self.tenants.live.values()),
                 final_objective=self._state.objective(),
                 wall_s=time.perf_counter() - t0,
                 failovers=self._failovers,
                 replicas_activated=self._replicas_activated,
                 backups_activated=self._backups_activated,
-                backup_bw_shed=self._backup_bw_shed
-                + (self._ledger.degraded_bw if self._redundant else 0.0),
+                backup_bw_shed=self._backup_bw_shed + self._ledger.degraded_bw,
             )
             if rec.enabled:
                 sp.set(
@@ -1284,7 +1186,7 @@ class ChaosOperator:
     @property
     def live_tenants(self) -> dict[int, Mapping]:
         """Current mapping per live tenant (snapshot)."""
-        return {t: rec.mapping for t, rec in self._live.items()}
+        return {t: rec.mapping for t, rec in self.tenants.live.items()}
 
     @property
     def state(self) -> ClusterState:

@@ -1,13 +1,13 @@
 """Joint snapshot/rollback transactions over shared cluster state.
 
-The chaos operator and the admission service both mutate one *shared*
+The chaos operator mutates one *shared*
 :class:`~repro.core.state.ClusterState` and must never leak a
-half-applied attempt into it: every repair, failover and admission is a
+half-applied attempt into it: every repair and failover is a
 transaction that either commits whole or restores the exact pre-attempt
-state.  The primitive was born inside the operator (PR 3) as inline
-``state.copy()`` / ``state.restore_from()`` pairs; this module is that
-discipline factored out so every transactional caller — operator heal
-loops, failover, service admission — shares one implementation.
+state.  This module is that ``state.copy()`` / ``state.restore_from()``
+discipline factored out of the operator's heal loop and failover path.
+(Admissions need no wrapper: :func:`~repro.hmn.pipeline.hmn_map`
+already restores a caller-owned state on any failure.)
 
 A transaction may protect more than the cluster state: the operator's
 repairs also roll back its bandwidth-mask ledger, the redundancy

@@ -11,7 +11,9 @@ service:
 * :mod:`~repro.service.core` — :class:`ServiceCore`, the transactional
   decision engine over one shared
   :class:`~repro.core.state.ClusterState`, with SLO metrics and
-  store-backed restart (:meth:`ServiceCore.resume`);
+  store-backed restart (:meth:`ServiceCore.resume`), and
+  :class:`TenantTable`, the one owner of what live tenants hold (the
+  chaos operator drives it too);
 * :mod:`~repro.service.store` — :class:`ExperimentStore`, the
   append-only JSONL log (json2run-style ``Persistent`` records) a
   restarted service replays to bit-exact state;
@@ -40,7 +42,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.service.core import ServiceCore, release_tenant
+from repro.service.core import ServiceCore, TenantTable
 from repro.service.replay import replay_admissions, replay_through
 from repro.service.service import AdmissionQueue, MappingService, ServiceHandle
 from repro.service.store import ExperimentStore, Persistent, STORE_FORMAT
@@ -57,13 +59,13 @@ __all__ = [
     "AdmissionConfig",
     "ReplayReport",
     "ServiceCore",
+    "TenantTable",
     "MappingService",
     "AdmissionQueue",
     "ServiceHandle",
     "ExperimentStore",
     "Persistent",
     "STORE_FORMAT",
-    "release_tenant",
     "replay_admissions",
     "replay_through",
     "open_service",

@@ -7,10 +7,14 @@ decision path in one place is what makes the service's determinism
 property checkable at all: a live closed-loop run and a batch replay of
 the same arrival sequence execute byte-identical admission code.
 
-Every admission is a :func:`~repro.resilience.transactions.joint_transaction`
-over the shared :class:`~repro.core.state.ClusterState` — the same
-snapshot/rollback discipline the chaos operator repairs under — so a
-failed or crashed attempt leaves no placements or reservations behind.
+What live tenants hold — the shared
+:class:`~repro.core.state.ClusterState`, the routing cache, the backup
+ledger, every tenant's placements, paths, standby replicas and backup
+paths — lives in one :class:`TenantTable`, which the chaos operator
+(:mod:`repro.resilience`) drives too, so admission and departure mean
+the same thing to both.  :func:`~repro.hmn.pipeline.hmn_map` restores
+the shared state on any failure, so a failed or interrupted admission
+leaves no placements or reservations behind.
 Commits append ``request``/``decision``/``mapping`` records to the
 :class:`~repro.service.store.ExperimentStore`; restarts *replay* that
 log through this same code path (:meth:`ServiceCore.resume`), verifying
@@ -22,19 +26,22 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro import obs
 from repro.core.cluster import PhysicalCluster
+from repro.core.link import EdgeKey
 from repro.core.mapping import Mapping
-from repro.core.state import ClusterState
+from repro.core.state import ClusterState, path_edges
 from repro.core.venv import VirtualEnvironment
-from repro.errors import MappingError, StoreError
+from repro.core.vlink import VLinkKey
+from repro.errors import MappingError, ModelError, StoreError
 from repro.hmn.config import HMNConfig
 from repro.hmn.pipeline import hmn_map
 from repro.io import cluster_from_dict, cluster_to_dict
-from repro.resilience.transactions import joint_transaction
+from repro.redundancy.ledger import BackupLedger, RiskKey
+from repro.redundancy.stage import redundancy_records, risks_of_path
 from repro.routing.cache import RoutingCache
 from repro.service.store import (
     DecisionRecord,
@@ -52,53 +59,188 @@ from repro.service.types import AdmissionDecision, MapRequest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import MetricsRegistry
 
-__all__ = ["ServiceCore", "release_tenant"]
+__all__ = ["ServiceCore", "TenantTable", "TenantEntry"]
 
 #: SLO quantiles surfaced as gauges (exact, from the raw latency list).
 SLO_QUANTILES = (0.5, 0.99)
 
+NodeId = Hashable
 
-def release_tenant(
-    state: ClusterState,
-    venv: VirtualEnvironment,
-    mapping: Mapping,
-    *,
-    cache: RoutingCache | None = None,
-) -> None:
-    """Return a departed tenant's allocations to the shared *state*.
 
-    Unplaces every guest of *venv* and releases the bandwidth of every
-    multi-node path in *mapping* — the inverse of admitting the tenant
-    with ``hmn_map(..., state=state)``.  Shared by the admission
-    service and the chaos operator (:mod:`repro.resilience`), which
-    must agree exactly on what departure means for the residual tables.
+@dataclass(frozen=True, slots=True)
+class _Backup:
+    """One pre-provisioned backup path held for a live tenant's vlink.
 
-    When the admitting :class:`RoutingCache` is passed, its memo is
-    pruned down to the post-release epoch.  This is hygiene, not
-    correctness: epoch tokens are globally unique and never reused, so
-    a stale entry can never be *served* after the release bumps the
-    epoch — but in a long-lived service the dead entries accumulate
-    (one epoch retired per departure) and crowd live entries out of the
-    cache's ``max_paths`` budget.  One-shot callers (the chaos
-    operator's masking dance re-reserves on the same edges constantly)
-    may keep passing no cache, exactly as before.
+    ``risks`` are the shared-risk keys the ledger admitted it under —
+    recorded at provisioning time so retirement subtracts exactly what
+    admission added, even after the primary was re-routed since.
     """
-    for guest in venv.guests():
-        state.unplace(guest.id)
-    for key, nodes in mapping.paths.items():
-        if len(nodes) > 1:
-            state.release_path(nodes, venv.vlink(*key).vbw)
-    if cache is not None:
-        cache.drop_stale(state.bw_epoch)
+
+    nodes: tuple[NodeId, ...]
+    vbw: float
+    risks: frozenset[RiskKey]
 
 
 @dataclass
-class _LiveTenant:
-    """One live tenancy: what release needs to undo it."""
+class TenantEntry:
+    """One live tenant: everything its departure has to give back."""
 
-    request_id: int
+    key: Hashable
     venv: VirtualEnvironment
     mapping: Mapping
+    #: guest id -> surviving standby replicas as (replica_id, host)
+    replicas: dict[int, list[tuple[int, NodeId]]] = field(default_factory=dict)
+    #: vlink key -> pre-provisioned backup path
+    backups: dict[VLinkKey, _Backup] = field(default_factory=dict)
+    #: the service's commit index for this tenancy
+    request_id: int | None = None
+    #: heal transactions the chaos operator applied to this tenancy
+    repairs: int = 0
+
+    @property
+    def backup_vbw(self) -> float:
+        """Aggregate demand of held backups (the degradation order key)."""
+        return sum(b.vbw for b in self.backups.values())
+
+    @property
+    def replica_count(self) -> int:
+        return sum(len(v) for v in self.replicas.values())
+
+
+class TenantTable:
+    """The one owner of what live tenants hold on a shared cluster.
+
+    Holds the shared :class:`ClusterState`, the :class:`RoutingCache`,
+    one :class:`~repro.redundancy.ledger.BackupLedger` (empty and inert
+    unless a config asks for backup paths, and shared by every tenant
+    so backups multiplex shared-risk headroom) and the live entries.
+    The admission service and the chaos operator both drive it, so
+    admission and departure mean the same thing to both.
+    """
+
+    def __init__(self, cluster: PhysicalCluster) -> None:
+        self.cluster = cluster
+        self.state = ClusterState(cluster)
+        self.cache = RoutingCache(cluster)
+        self.ledger = BackupLedger(self.state)
+        self.live: dict[Hashable, TenantEntry] = {}
+
+    def admit(
+        self, key: Hashable, venv: VirtualEnvironment, config: HMNConfig
+    ) -> TenantEntry:
+        """Map *venv* onto the residual state and record it under *key*.
+
+        Raises :class:`~repro.errors.MappingError` with nothing leaked:
+        :func:`hmn_map` rolls the state and the ledger back on any
+        failure.
+        """
+        if key in self.live:
+            raise ModelError(f"tenant {key!r} is already live")
+        mapping = hmn_map(
+            self.cluster, venv, config,
+            state=self.state, cache=self.cache, backup_ledger=self.ledger,
+        )
+        replicas, backups, _ = redundancy_records(mapping)
+        entry = TenantEntry(
+            key=key,
+            venv=venv,
+            mapping=mapping,
+            replicas=replicas,
+            backups={
+                vkey: _Backup(
+                    nodes=nodes,
+                    vbw=venv.vlink(*vkey).vbw,
+                    risks=risks_of_path(mapping.paths[vkey]),
+                )
+                for vkey, nodes in backups.items()
+            },
+        )
+        self.live[key] = entry
+        return entry
+
+    def release(self, key: Hashable) -> set[EdgeKey] | None:
+        """Depart *key*: return its replicas, backups, guests and
+        paths (in that order), prune the routing memo to the new epoch,
+        and return the physical edges released.  ``None`` (and no state
+        change) when *key* is not live."""
+        entry = self.live.pop(key, None)
+        if entry is None:
+            return None
+        self.drop_replicas(entry)
+        released = self.drop_backups(entry)
+        state, venv = self.state, entry.venv
+        for guest in venv.guests():
+            state.unplace(guest.id)
+        for vkey, nodes in entry.mapping.paths.items():
+            if len(nodes) > 1:
+                state.release_path(nodes, venv.vlink(*vkey).vbw)
+                released.update(path_edges(nodes))
+        # Hygiene, not correctness: epoch tokens are never reused, so a
+        # stale memo can never be served — but without pruning, every
+        # departure's dead epoch would crowd live entries out of the
+        # cache's ``max_paths`` budget.
+        self.cache.drop_stale(state.bw_epoch)
+        return released
+
+    def drop_replicas(self, entry: TenantEntry) -> None:
+        """Unplace every standby replica *entry* holds."""
+        state = self.state
+        for gid in sorted(entry.replicas):
+            for rid, _host in entry.replicas[gid]:
+                if state.is_placed(rid):
+                    state.unplace(rid)
+        entry.replicas = {}
+
+    def drop_backups(
+        self, entry: TenantEntry, keys: Iterable[VLinkKey] | None = None
+    ) -> set[EdgeKey]:
+        """Retire *entry*'s backups through the ledger — all of them,
+        or only those under *keys* — and return the edges released."""
+        released: set[EdgeKey] = set()
+        for vkey in sorted(entry.backups) if keys is None else keys:
+            bk = entry.backups.pop(vkey, None)
+            if bk is not None:
+                self.ledger.remove(bk.nodes, bk.vbw, bk.risks)
+                released.update(path_edges(bk.nodes))
+        return released
+
+    def audit(self, extra_bw: dict[EdgeKey, float] | None = None) -> None:
+        """Conservation check: the state holds exactly what live tenants
+        hold.
+
+        The placed guest ids must equal the live guests plus the live
+        replicas, and every edge's used bandwidth must equal the live
+        primary-path demand on it plus the ledger's backup reservation
+        plus ``extra_bw`` (reservations the caller owns, e.g. fault
+        masks), within the 1e-6 slack :meth:`ClusterState.release_path`
+        grants, since float add/subtract sequences do not round-trip.
+        Raises :class:`~repro.errors.ModelError` on the first violation.
+        """
+        state = self.state
+        owned: set[int] = set()
+        demand: dict[EdgeKey, float] = dict(extra_bw or {})
+        for entry in self.live.values():
+            owned.update(entry.venv.guest_ids)
+            for standbys in entry.replicas.values():
+                owned.update(rid for rid, _host in standbys)
+            for vkey, nodes in entry.mapping.paths.items():
+                vbw = entry.venv.vlink(*vkey).vbw
+                for e in path_edges(nodes):
+                    demand[e] = demand.get(e, 0.0) + vbw
+        placed = set(state.assignments)
+        if placed != owned:
+            raise ModelError(
+                f"conservation violated: {len(placed - owned)} placed guests "
+                f"belong to no live tenant, {len(owned - placed)} live guests "
+                f"or replicas are not placed"
+            )
+        for e, used in state.bandwidth_usage().items():
+            want = demand.get(e, 0.0) + self.ledger.reserved_on(e)
+            if abs(used - want) > 1e-6:
+                raise ModelError(
+                    f"conservation violated on link {e}: {used!r} Mbit/s "
+                    f"used, live tenants account for {want!r}"
+                )
 
 
 class ServiceCore:
@@ -134,9 +276,9 @@ class ServiceCore:
         self.config = config if config is not None else HMNConfig()
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.state = ClusterState(cluster)
-        self.cache = RoutingCache(cluster)
-        self._live: dict[Any, _LiveTenant] = {}
+        self.tenants = TenantTable(cluster)
+        self.state = self.tenants.state
+        self.cache = self.tenants.cache
         self.accepted = 0
         self.rejected = 0
         self._next_request_id = 0
@@ -261,10 +403,8 @@ class ServiceCore:
                         f"(got {redone.to_dict()}, stored {stored.to_dict()})"
                     )
             elif isinstance(op, MappingRecord):
-                live = next(
-                    (t for t in self._live.values() if t.request_id == op.request_id),
-                    None,
-                )
+                live = next((t for t in self.tenants.live.values()
+                             if t.request_id == op.request_id), None)
                 if live is None or mapping_payload(live.mapping) != op.mapping:
                     raise StoreError(
                         f"{store.path}: replayed mapping for request "
@@ -297,7 +437,7 @@ class ServiceCore:
     ) -> AdmissionDecision:
         """Decide one request against the live residual state.
 
-        Transactional: on any mapping failure (or crash) the shared
+        Transactional: on any mapping failure (or interrupt) the shared
         state is exactly as before the attempt.  *request_id* defaults
         to the next commit index; *arrived_at* defaults to the id
         (virtual time = commit order, the closed-loop convention).
@@ -328,7 +468,7 @@ class ServiceCore:
     ) -> AdmissionDecision:
         t0 = time.perf_counter()
         mapping: Mapping | None = None
-        if request.tenant in self._live:
+        if request.tenant in self.tenants.live:
             decision = AdmissionDecision(
                 request_id=rid,
                 tenant=request.tenant,
@@ -340,17 +480,7 @@ class ServiceCore:
         else:
             config = request.config if request.config is not None else self.config
             try:
-                # hmn_map is itself transactional on shared states for
-                # MappingErrors; the joint transaction extends that to
-                # *any* failure leaking out of the pipeline.
-                with joint_transaction(self.state):
-                    mapping = hmn_map(
-                        self.cluster,
-                        request.venv,
-                        config,
-                        state=self.state,
-                        cache=self.cache,
-                    )
+                entry = self.tenants.admit(request.tenant, request.venv, config)
             except MappingError as exc:
                 decision = AdmissionDecision(
                     request_id=rid,
@@ -361,9 +491,8 @@ class ServiceCore:
                     failure=type(exc).__name__,
                 )
             else:
-                self._live[request.tenant] = _LiveTenant(
-                    request_id=rid, venv=request.venv, mapping=mapping
-                )
+                entry.request_id = rid
+                mapping = entry.mapping
                 decision = AdmissionDecision(
                     request_id=rid,
                     tenant=request.tenant,
@@ -406,16 +535,14 @@ class ServiceCore:
         self.rejected += 1
 
     def release(self, tenant) -> bool:
-        """Depart *tenant*: return its allocations, prune the routing
-        memo to the new epoch, log the release.  ``False`` (and no
-        state change) when the tenant is not live."""
-        live = self._live.pop(tenant, None)
-        if live is None:
+        """Depart *tenant*: return everything it holds (guests, paths,
+        standby replicas, backup reservations), log the release.
+        ``False`` (and no state change) when the tenant is not live."""
+        if self.tenants.release(tenant) is None:
             return False
-        release_tenant(self.state, live.venv, live.mapping, cache=self.cache)
         if self.store is not None and not self._replaying:
             self.store.append(ReleaseRecord(tenant=tenant))
-        self.metrics.gauge("repro_service_tenants_live").set(len(self._live))
+        self.metrics.gauge("repro_service_tenants_live").set(len(self.tenants.live))
         rec = obs.OBS
         if rec.enabled:
             rec.count("repro_service_releases_total")
@@ -448,7 +575,7 @@ class ServiceCore:
             # must not inherit the histogram's bucket resolution.
             value = self._latencies[min(n - 1, max(0, int(q * n + 0.5) - 1))]
             m.gauge("repro_service_admit_latency_seconds", quantile=str(q)).set(value)
-        m.gauge("repro_service_tenants_live").set(len(self._live))
+        m.gauge("repro_service_tenants_live").set(len(self.tenants.live))
         if self.store is not None and not self._replaying:
             self.store.append(
                 request_payload_of(
@@ -474,7 +601,7 @@ class ServiceCore:
     @property
     def live_tenants(self) -> dict:
         """Current mapping per live tenant (snapshot)."""
-        return {t: live.mapping for t, live in self._live.items()}
+        return {t: live.mapping for t, live in self.tenants.live.items()}
 
     @property
     def acceptance_ratio(self) -> float:
@@ -486,7 +613,7 @@ class ServiceCore:
         out: dict[str, float] = {
             "accepted": float(self.accepted),
             "rejected": float(self.rejected),
-            "live": float(len(self._live)),
+            "live": float(len(self.tenants.live)),
         }
         n = len(self._latencies)
         for q in SLO_QUANTILES:
@@ -501,6 +628,6 @@ class ServiceCore:
 
     def __repr__(self) -> str:
         return (
-            f"<ServiceCore: {len(self._live)} live tenants, "
+            f"<ServiceCore: {len(self.tenants.live)} live tenants, "
             f"{self.accepted} accepted / {self.rejected} rejected>"
         )

@@ -364,7 +364,7 @@ def shard_map(
                 "networking",
                 lambda sp: stitch_networking(state, venv, config, partition),
             )
-        except Exception:
+        except BaseException:
             if snapshot is not None:
                 state.restore_from(snapshot)
             raise

@@ -49,11 +49,11 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 @pytest.fixture
 def differential_caches(monkeypatch) -> list:
-    """Make the chaos operator route through the conformance
-    differential cache (every kernel miss re-run on the reference
-    routers); returns the list of caches it builds, for inspecting
-    their ``mismatches``."""
-    import repro.resilience.operator as operator_mod
+    """Make the tenant table (and so the chaos operator) route through
+    the conformance differential cache (every kernel miss re-run on the
+    reference routers); returns the list of caches it builds, for
+    inspecting their ``mismatches``."""
+    import repro.service.core as tenants_mod
     from repro.conformance import DifferentialRoutingCache
 
     built: list = []
@@ -63,7 +63,7 @@ def differential_caches(monkeypatch) -> list:
             super().__init__(cluster, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(operator_mod, "RoutingCache", Recording)
+    monkeypatch.setattr(tenants_mod, "RoutingCache", Recording)
     return built
 
 

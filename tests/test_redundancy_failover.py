@@ -84,7 +84,7 @@ class TestFastFailover:
         (mapping,) = op.live_tenants.values()
         victim_host = mapping.assignments[sorted(mapping.assignments)[0]]
         op.apply(FaultEvent(time=1.0, seq=1, kind="host_crash", target=victim_host))
-        rec = next(iter(op._live.values()))
+        rec = next(iter(op.tenants.live.values()))
         # every guest should hold a standby again after the top-up
         assert all(rec.replicas.get(g) for g in rec.venv.guest_ids)
 
@@ -159,9 +159,7 @@ class TestShedDeterminism:
             op.apply(
                 FaultEvent(time=2.0 + step, seq=100 + step, kind="host_crash", target=h)
             )
-        return [list(r.shed) for r in op._repairs], [
-            r.tenant for r in op._live.values()
-        ]
+        return [list(r.shed) for r in op._repairs], list(op.tenants.live)
 
     def test_equal_vbw_ties_break_on_tenant_id(self):
         shed_lists, _ = self._crunch()

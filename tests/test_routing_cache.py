@@ -194,9 +194,9 @@ class TestCacheCorrectness:
 
 
 class TestDropStale:
-    """Satellite of the admission service: ``release_tenant`` prunes the
-    cache so a long-lived service doesn't accumulate one dead epoch of
-    memos per departure.  Safety never depended on this — epoch tokens
+    """``TenantTable.release`` prunes the cache so a long-lived service
+    or chaos run doesn't accumulate one dead epoch of memos per
+    departure.  Safety never depended on this — epoch tokens
     are globally unique and never reused, so a stale entry cannot be
     *served* — which the service-shaped scenario below double-checks."""
 
