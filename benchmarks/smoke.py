@@ -96,7 +96,7 @@ def bench_routing() -> float:
     ]
 
     def run():
-        # Fresh cache per rep: measure the kernels, not the path memo.
+        # Fresh cache per rep: each rep builds its own latency tables.
         cache = RoutingCache(cluster)
         for a, b in pairs:
             cache.route(state, a, b, bandwidth=0.5, latency_bound=60.0)

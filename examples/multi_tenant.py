@@ -69,7 +69,7 @@ def main() -> None:
     print(f"dave/p2p     admitted into the freed capacity: {dave.n_guests} guests, "
           f"objective {state.objective():.1f}")
     print(f"\nshared routing cache: {cache.label_tables} latency tables, "
-          f"{cache.label_hits} label hits, {cache.path_hits} path hits")
+          f"{cache.label_hits} label hits")
 
 
 if __name__ == "__main__":

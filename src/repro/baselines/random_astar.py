@@ -15,10 +15,7 @@ the same order HMN's Networking stage uses, so the comparison isolates
 
 All tries route through one shared
 :class:`~repro.routing.cache.RoutingCache`: the latency labels are
-topology-only and amortize across every query, and the epoch-keyed path
-memo pays off on retries — every fresh :class:`ClusterState` starts at
-bandwidth epoch 0 (the full-capacity residual graph), so the first
-routes of a retry replay earlier tries' results instead of re-searching.
+topology-only and amortize across every query of every retry.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ def random_astar_map(
     placement draw leads to an unroutable link.
     """
     rng = rng_from(seed)
-    # Labels + path memo; shared across tries.
+    # Latency labels, shared across tries.
     cache = RoutingCache(cluster)
     links = sorted(venv.vlinks(), key=lambda e: (-e.vbw, e.key))
     t0 = time.perf_counter()

@@ -9,7 +9,7 @@ Four complementary ways to trust a mapper change:
   (relabeling, unit rescaling, guest-order permutation, unreachable
   host) whose effect on the result is known exactly.
 * :mod:`repro.conformance.differential` — a routing cache that
-  re-runs every route-kernel miss on the reference routers and records
+  re-runs every route query on the reference routers and records
   any disagreement, on the real mid-mapping residual state.
 * :mod:`repro.conformance.fuzz` — seeded differential fuzzing across
   the route kernel and reference routers, serial/parallel runners,

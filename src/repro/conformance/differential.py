@@ -7,7 +7,7 @@ with the reference routers written over user-space node ids —
 and :func:`~repro.routing.labels.bottleneck_route_labels` — on the
 same residual graph.  :class:`DifferentialRoutingCache` checks that
 contract inside real mappings: it is a
-:class:`~repro.routing.cache.RoutingCache` whose every kernel miss
+:class:`~repro.routing.cache.RoutingCache` whose every route query
 re-runs the reference router against ``state.residual_bw`` and records
 a :class:`RouteMismatch` on any difference.  Pass it through the
 ``hmn_map(cache=...)`` seam; the mapping itself is whatever the kernel
@@ -22,7 +22,7 @@ message when either side raises :class:`~repro.errors.RoutingError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 from repro.errors import RoutingError
 from repro.routing.bottleneck_prune import BottleneckPath, bottleneck_route
@@ -67,7 +67,7 @@ class RouteMismatch:
 
 
 class DifferentialRoutingCache(RoutingCache):
-    """A :class:`RoutingCache` that cross-checks every kernel miss.
+    """A :class:`RoutingCache` that cross-checks every route query.
 
     ``mismatches`` collects one :class:`RouteMismatch` per disagreeing
     query; ``checked`` counts the queries compared.  Reference runs use
@@ -75,8 +75,8 @@ class DifferentialRoutingCache(RoutingCache):
     never touch the kernel's label counters.
     """
 
-    def __init__(self, cluster, **kwargs: Any) -> None:
-        super().__init__(cluster, **kwargs)
+    def __init__(self, cluster) -> None:
+        super().__init__(cluster)
         self.reference_oracle = LatencyOracle(cluster)
         self.mismatches: list[RouteMismatch] = []
         self.checked = 0

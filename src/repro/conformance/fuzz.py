@@ -6,7 +6,7 @@ has grown:
 
 * **route kernel vs reference routers** — every mapping runs through a
   :class:`~repro.conformance.differential.DifferentialRoutingCache`,
-  which re-runs each kernel miss on the reference routers against the
+  which re-runs each route query on the reference routers against the
   live mid-mapping residual state; any difference in path, bottleneck,
   latency, expansion count or error message is an ``engine-route``
   divergence;

@@ -21,7 +21,6 @@ node ids.
 
 from __future__ import annotations
 
-import itertools
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.core.arrays import ArrayState, CompiledTopology, compile_topology
@@ -40,13 +39,6 @@ NodeId = Hashable
 # practice the residual only drifts by a few ulps; the epsilon prevents
 # spurious CapacityErrors when a link is filled exactly to capacity.
 _BW_EPS = 1e-9
-
-# Allocator for residual-bandwidth epoch tokens (see ClusterState.bw_epoch).
-# Global so that two *different* states can never reach the same token
-# through different mutation histories: a token is only ever shared by
-# states whose residual tables are bit-identical (fresh states at 0, or
-# copies/restores of one another).
-_EPOCH_TOKENS = itertools.count(1)
 
 
 def path_edges(nodes: Sequence[NodeId]) -> list[EdgeKey]:
@@ -75,7 +67,6 @@ class ClusterState:
         "_host_of",
         "_guests_on",
         "_guest_obj",
-        "_bw_epoch",
         "_blocked",
         "_fdomains",
     )
@@ -96,7 +87,6 @@ class ClusterState:
         self._host_of: dict[int, NodeId] = {}
         self._guests_on: dict[NodeId, set[int]] = {h: set() for h in cluster.host_ids}
         self._guest_obj: dict[int, Guest] = {}
-        self._bw_epoch = 0
         self._blocked: dict[NodeId, tuple[int, float, float]] = {}
         self._fdomains = None
 
@@ -160,21 +150,6 @@ class ClusterState:
         sound (see :mod:`repro.routing.compiled`).
         """
         return self._topo
-
-    @property
-    def bw_epoch(self) -> int:
-        """Version token of the residual-bandwidth table.
-
-        ``0`` identifies the virgin state (full capacities); every
-        reservation or release that actually changes a residual
-        installs a globally fresh token.  Two states of the same
-        cluster carry the same token **iff** their residual-bandwidth
-        tables are identical (tokens propagate only through
-        :meth:`copy`/:meth:`restore_from`), which makes the token a
-        sound cache key for routing results — see
-        :class:`repro.routing.cache.RoutingCache`.
-        """
-        return self._bw_epoch
 
     @property
     def bw_array(self):
@@ -423,8 +398,6 @@ class ClusterState:
                 raise CapacityError(
                     f"link {key} has {table[e]:.6g} Mbit/s residual, cannot reserve {bw:.6g}"
                 )
-        if edges and bw != 0.0:
-            self._bw_epoch = next(_EPOCH_TOKENS)
         for e in edges:
             table[e] -= bw
 
@@ -448,8 +421,6 @@ class ClusterState:
                 raise ModelError(
                     f"release on link {key} exceeds capacity: residual {new} > {caps[e]}"
                 )
-        if edges and bw != 0.0:
-            self._bw_epoch = next(_EPOCH_TOKENS)
         for e in edges:
             table[e] += bw
 
@@ -474,8 +445,6 @@ class ClusterState:
         out._host_of = dict(self._host_of)
         out._guests_on = {h: set(s) for h, s in self._guests_on.items()}
         out._guest_obj = dict(self._guest_obj)
-        # The copy's residual table is identical, so the token stays valid.
-        out._bw_epoch = self._bw_epoch
         out._blocked = dict(self._blocked)
         out._fdomains = self._fdomains
         return out
@@ -501,7 +470,6 @@ class ClusterState:
         self._host_of = dict(snapshot._host_of)
         self._guests_on = {h: set(s) for h, s in snapshot._guests_on.items()}
         self._guest_obj = dict(snapshot._guest_obj)
-        self._bw_epoch = snapshot._bw_epoch
         self._blocked = dict(snapshot._blocked)
 
     def place_all(self, guests: Iterable[Guest], assignment: Mapping[int, NodeId]) -> None:

@@ -15,11 +15,11 @@ the reason Networking time varies between runs of the same scenario
 handled inside the host").
 
 All bottleneck queries flow through a
-:class:`~repro.routing.cache.RoutingCache`, which memoizes the
+:class:`~repro.routing.cache.RoutingCache`, which shares the
 per-destination latency tables across all links of the stage — the
 paper identifies exactly this computation as the dominant mapping cost
-(Figure 1 discussion) — and the path results themselves, keyed by the
-state's residual-bandwidth epoch.
+(Figure 1 discussion).  Each path is searched afresh against the
+residuals the previous links left.
 
 The ``routing_metric="latency"`` ablation replaces Algorithm 1 with a
 bandwidth-feasible minimum-latency search (the generic A*Prune of
@@ -90,8 +90,7 @@ def run_networking(
     All bottleneck queries go through a
     :class:`~repro.routing.cache.RoutingCache` — pass one (e.g. shared
     across the mappings of a multi-tenant cluster) to reuse its latency
-    labels and epoch-keyed path results; otherwise a private cache is
-    built.
+    labels; otherwise a private cache is built.
 
     Raises :class:`~repro.errors.RoutingError` (heuristic failure) when
     some link admits no feasible path under the residual bandwidths.
@@ -102,8 +101,8 @@ def run_networking(
     colocated = 0
     routed = 0
     total_expansions = 0
-    hits_before = cache.path_hits + cache.label_hits
-    queries_before = cache.path_queries + cache.label_queries
+    hits_before = cache.label_hits
+    queries_before = cache.label_queries
     kernel_before = cache.kernel_seconds
 
     for link in ordered_vlinks(venv, config):
@@ -131,8 +130,8 @@ def run_networking(
         paths[link.key] = nodes
         routed += 1
 
-    queries = cache.path_queries + cache.label_queries - queries_before
-    hits = cache.path_hits + cache.label_hits - hits_before
+    queries = cache.label_queries - queries_before
+    hits = cache.label_hits - hits_before
     rec = obs.OBS
     if rec.enabled:
         # Aggregate counters once per stage — never per link, so the

@@ -92,10 +92,9 @@ def hmn_map(
         empty testbed).  The state is mutated on success and restored
         exactly on any failure, interrupts included.
     cache:
-        Optional shared :class:`~repro.routing.cache.RoutingCache`
-        (latency tables plus the epoch-keyed path memo).  Pass one
-        across repeated mappings of the same cluster to reuse routing
-        work; a private cache is built otherwise.
+        Optional shared :class:`~repro.routing.cache.RoutingCache`.
+        Pass one across repeated mappings of the same cluster to reuse
+        its latency tables; a private cache is built otherwise.
     backup_ledger:
         Optional shared :class:`~repro.redundancy.ledger.BackupLedger`
         for ``config.backup_paths`` reservations.  Multi-tenant callers

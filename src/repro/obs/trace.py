@@ -84,7 +84,7 @@ class Span:
         return self._record["attrs"]
 
     def set(self, **attrs: Any) -> "Span":
-        """Attach attributes (chainable): ``sp.set(cache_hit=True)``."""
+        """Attach attributes (chainable): ``sp.set(feasible=False)``."""
         self._record["attrs"].update(attrs)
         return self
 

@@ -9,8 +9,8 @@ reserves their full residual bandwidth on the shared
 through the :class:`~repro.routing.cache.RoutingCache`.  Both routers
 prune edges whose residual is below the demand, so a drained edge is
 invisible to them — the compiled router, its C kernel and the
-reference routers all honor the exclusion bit-identically, for free.  The drain bumps ``bw_epoch``, so the cache memo stays sound;
-the ``finally`` release restores the residuals exactly (reservations
+reference routers all honor the exclusion bit-identically, for free.
+The ``finally`` release restores the residuals exactly (reservations
 are exact subtractions).
 
 :func:`backup_route` is the policy layer: try **node-disjoint** first

@@ -272,6 +272,14 @@ def _default_tenant(i: int, rng: np.random.Generator) -> VirtualEnvironment:
     )
 
 
+def _held_edges(entry: TenantEntry) -> set[EdgeKey]:
+    """The physical edges *entry*'s primary and backup paths cross."""
+    held = {e for nodes in entry.mapping.paths.values() for e in path_edges(nodes)}
+    for bk in entry.backups.values():
+        held.update(path_edges(bk.nodes))
+    return held
+
+
 class ChaosOperator:
     """Replays a fault trace against a live multi-tenant state.
 
@@ -433,18 +441,23 @@ class ChaosOperator:
         return False
 
     def _depart(self, tenant: int) -> None:
-        released = self.tenants.release(tenant)
-        if released is None:
+        entry = self.tenants.live.get(tenant)
+        if entry is None:
             # Rejected at arrival, or shed by an earlier repair: a shed
             # tenant stops counting as lost once it would have left.
             self._lost.pop(tenant, None)
             return
-        self._resync_released(released)
+        held = _held_edges(entry)
+        self.tenants.release(tenant)
+        self._resync_released(held)
         self._departed += 1
 
     def _shed_tenant(self, tenant: int) -> None:
-        n_guests = self.tenants.live[tenant].venv.n_guests
-        self._resync_released(self.tenants.release(tenant))
+        entry = self.tenants.live[tenant]
+        n_guests = entry.venv.n_guests
+        held = _held_edges(entry)
+        self.tenants.release(tenant)
+        self._resync_released(held)
         self._shed += 1
         self._shed_guests += n_guests
         self._lost[tenant] = n_guests

@@ -2,9 +2,9 @@
 
 Implements the path-finding substrate of the paper:
 
-* :mod:`~repro.routing.cache` — the memoized routing layer (latency
-  labels + residual-epoch-keyed path results) the Networking stage and
-  the retrying baselines route through;
+* :mod:`~repro.routing.cache` — the routing front end (shared
+  latency labels over the route engine) the Networking stage and the
+  retrying baselines route through;
 * :mod:`~repro.routing.compiled` — the route engine: index-space
   kernels for Algorithm 1, label setting and latency tables over the
   cluster's :class:`~repro.core.arrays.CompiledTopology`;

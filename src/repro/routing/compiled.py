@@ -30,7 +30,7 @@ with ``seq`` assigned in push order, and the bottleneck update
 byte-identical paths, bottlenecks, expansion counts, and failure
 messages.  The conformance differential
 (:class:`~repro.conformance.differential.DifferentialRoutingCache`)
-checks this on every kernel miss of real mappings, and
+checks this on every route query of real mappings, and
 ``tests/test_engine_equivalence.py`` property-tests it.  User-space
 node ids appear only at the result boundary.
 """

@@ -158,29 +158,22 @@ class TenantTable:
         self.live[key] = entry
         return entry
 
-    def release(self, key: Hashable) -> set[EdgeKey] | None:
+    def release(self, key: Hashable) -> bool:
         """Depart *key*: return its replicas, backups, guests and
-        paths (in that order), prune the routing memo to the new epoch,
-        and return the physical edges released.  ``None`` (and no state
-        change) when *key* is not live."""
+        paths, in that order.  ``False`` (and no state change) when
+        *key* is not live."""
         entry = self.live.pop(key, None)
         if entry is None:
-            return None
+            return False
         self.drop_replicas(entry)
-        released = self.drop_backups(entry)
+        self.drop_backups(entry)
         state, venv = self.state, entry.venv
         for guest in venv.guests():
             state.unplace(guest.id)
         for vkey, nodes in entry.mapping.paths.items():
             if len(nodes) > 1:
                 state.release_path(nodes, venv.vlink(*vkey).vbw)
-                released.update(path_edges(nodes))
-        # Hygiene, not correctness: epoch tokens are never reused, so a
-        # stale memo can never be served — but without pruning, every
-        # departure's dead epoch would crowd live entries out of the
-        # cache's ``max_paths`` budget.
-        self.cache.drop_stale(state.bw_epoch)
-        return released
+        return True
 
     def drop_replicas(self, entry: TenantEntry) -> None:
         """Unplace every standby replica *entry* holds."""
@@ -538,7 +531,7 @@ class ServiceCore:
         """Depart *tenant*: return everything it holds (guests, paths,
         standby replicas, backup reservations), log the release.
         ``False`` (and no state change) when the tenant is not live."""
-        if self.tenants.release(tenant) is None:
+        if not self.tenants.release(tenant):
             return False
         if self.store is not None and not self._replaying:
             self.store.append(ReleaseRecord(tenant=tenant))

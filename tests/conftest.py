@@ -50,7 +50,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 @pytest.fixture
 def differential_caches(monkeypatch) -> list:
     """Make the tenant table (and so the chaos operator) route through
-    the conformance differential cache (every kernel miss re-run on the
+    the conformance differential cache (every route query re-run on the
     reference routers); returns the list of caches it builds, for
     inspecting their ``mismatches``."""
     import repro.service.core as tenants_mod

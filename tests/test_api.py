@@ -91,7 +91,7 @@ class TestMapVirtualEnv:
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
     def test_byte_identical_to_deep_import(self, cluster, venv, engine):
         # The "dict" arm forwards a differential cache through the
-        # facade: every kernel miss is re-run on the dict-space
+        # facade: every route query is re-run on the dict-space
         # reference routers, and none may disagree.
         from repro.conformance import DifferentialRoutingCache
 

@@ -102,7 +102,7 @@ class TestShardedArms:
 
 class TestInjectedDivergence:
     """A perturbed route kernel must surface as an ``engine-route``
-    divergence (the differential cache compares every kernel miss with
+    divergence (the differential cache compares every route query with
     the reference routers) carrying a replayable repro artifact."""
 
     def test_engine_divergence_detected(self, monkeypatch):

@@ -149,12 +149,12 @@ class TestBandwidth:
         # every edge before mutating any residual (reserve_path's
         # atomicity contract).
         state_line3.reserve_path([0, 1], 100.0)  # only edge (0,1) has headroom
-        epoch = state_line3.bw_epoch
+        before = state_line3.bw_array[:]
         with pytest.raises(ModelError, match="exceeds capacity"):
             state_line3.release_path([0, 1, 2], 50.0)  # edge (1,2) would overflow
         assert state_line3.residual_bw(0, 1) == pytest.approx(900.0)
         assert state_line3.residual_bw(1, 2) == pytest.approx(1000.0)
-        assert state_line3.bw_epoch == epoch  # failed release leaves the table's version
+        assert state_line3.bw_array == before  # no edge was credited
 
     def test_over_release_detected(self, state_line3):
         with pytest.raises(ModelError, match="exceeds capacity"):

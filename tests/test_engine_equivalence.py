@@ -85,7 +85,7 @@ def _loaded_state(cluster, load_seed: int) -> ClusterState:
 
 def _map_both(cluster, venv, **knobs):
     """Run hmn_map plainly and through the differential cache (every
-    kernel miss re-run on the reference routers); fold MappingError into
+    route query re-run on the reference routers); fold MappingError into
     the results and return them with the per-query mismatches."""
     config = HMNConfig(**knobs)
     results = []

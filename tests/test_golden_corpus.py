@@ -33,7 +33,7 @@ class TestDigest:
         assert len(d1) == 64  # sha256 hex
 
     def test_engine_independent(self, small_instance):
-        """Routing every kernel miss through the reference routers too
+        """Routing every query through the reference routers too
         (the differential cache) finds no disagreement and leaves the
         digest unchanged."""
         cluster, venv = small_instance

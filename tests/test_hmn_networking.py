@@ -87,7 +87,7 @@ class TestBasicRouting:
         cache = RoutingCache(line3)
         for load in (0.0, 1.0):
             state = ClusterState(line3)
-            if load:  # a different residual table: the path memo misses
+            if load:  # a different residual table, the same latency labels
                 state.reserve_path([0, 1], load)
             place(state, v, {0: 0, 1: 2})
             run_networking(state, v, HMNConfig(), cache=cache)

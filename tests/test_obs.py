@@ -340,7 +340,7 @@ class TestTracedMapping:
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
     def test_traced_mapping_byte_identical(self, engine):
         # The "dict" arm maps through the differential cache, which
-        # re-runs every kernel miss on the dict-space reference routers.
+        # re-runs every route query on the dict-space reference routers.
         from repro.conformance import DifferentialRoutingCache
 
         cluster, venv = small_instance()

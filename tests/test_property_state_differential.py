@@ -14,8 +14,8 @@ independent from-scratch recomputation:
 * per-host residual CPU/storage within 1e-12 relative (1e-9 absolute —
   residuals legitimately cross zero, CPU is a soft constraint);
 * per-host residual memory exactly (integers);
-* per-edge residual bandwidth within the same float tolerance, with
-  ``bw_epoch`` having moved on every effective change.
+* per-edge residual bandwidth within the same float tolerance, and the
+  residual-bandwidth array bit-equal to a model array after every op.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ClusterState, Guest, Host, PhysicalCluster
+from repro.core.link import edge_key
 
 pytestmark = pytest.mark.slow
 
@@ -106,7 +107,7 @@ def test_incremental_matches_recompute(hosts, guest_specs, ops):
 
     assignment: dict[int, int] = {}  # model, maintained independently
     bw_used: dict[tuple, float] = {}  # edge -> reserved bandwidth
-    last_epoch = state.bw_epoch
+    bw_model = state.bw_array[:]  # the residual array, op by op
 
     for verb, a, b, amount in ops:
         gid = a % len(guests)
@@ -129,22 +130,22 @@ def test_incremental_matches_recompute(hosts, guest_specs, ops):
             if u == v:
                 continue
             edge = (u, v) if u <= v else (v, u)
+            e = state.topology.edge_index[edge_key(u, v)]
             path = [u, v]
             if verb == "reserve":
                 if state.can_reserve(path, amount):
                     state.reserve_path(path, amount)
                     bw_used[edge] = bw_used.get(edge, 0.0) + amount
-                    if amount != 0.0:
-                        assert state.bw_epoch != last_epoch, (
-                            "effective reservation must invalidate the epoch"
-                        )
+                    bw_model[e] -= amount
             else:
                 give_back = min(amount, bw_used.get(edge, 0.0))
                 if give_back > 0.0:
                     state.release_path(path, give_back)
                     bw_used[edge] = bw_used[edge] - give_back
-                    assert state.bw_epoch != last_epoch
-        last_epoch = state.bw_epoch
+                    bw_model[e] += give_back
+        # Only reservations and releases move bandwidth, by exactly
+        # their amount on exactly their edge.
+        assert state.bw_array == bw_model
 
     # --- objective: exact to 1e-12 relative -------------------------------
     want = exact_objective(cluster, guests, assignment)

@@ -98,7 +98,7 @@ class TestFastFailover:
 
     @pytest.mark.parametrize("engine", ["dict", "compiled"])
     def test_redundant_chaos_selfchecks_clean(self, engine, request):
-        # The "dict" arm also re-runs every kernel miss (primary,
+        # The "dict" arm also re-runs every route query (primary,
         # backup and failover routes) on the dict-space reference
         # routers, which must agree on every query.
         caches = request.getfixturevalue("differential_caches") if engine == "dict" else []

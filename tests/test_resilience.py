@@ -309,7 +309,7 @@ class TestDeterminism:
         assert _chaos_json(11) != _chaos_json(12)
 
     def test_engines_byte_identical(self, differential_caches, monkeypatch):
-        """Routing every kernel miss through the reference routers too
+        """Routing every query through the reference routers too
         changes no byte, and no query disagrees."""
         checked = _chaos_json(11)
         assert sum(c.checked for c in differential_caches) > 0

@@ -146,12 +146,12 @@ class TestServiceCore:
         core = ServiceCore(cluster)
         core.admit(MapRequest(tenant="a", venv=small_venv(0)))
         before_mem = [core.state.residual_mem(h) for h in cluster.host_ids]
-        before_epoch = core.state.bw_epoch
+        before_bw = core.state.bw_array[:]
         # 2000 low-level guests cannot fit 12 paper hosts.
         d = core.admit(MapRequest(tenant="big", venv=small_venv(1, n=2000)))
         assert not d.admitted and d.failure
         assert [core.state.residual_mem(h) for h in cluster.host_ids] == before_mem
-        assert core.state.bw_epoch == before_epoch
+        assert core.state.bw_array == before_bw
 
     def test_release_returns_capacity(self, cluster):
         core = ServiceCore(cluster)

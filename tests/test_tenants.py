@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hmn.pipeline as pipeline
-from repro.core.state import path_edges
 from repro.errors import ModelError
 from repro.hmn.config import HMNConfig
 from repro.service import MapRequest, ServiceCore, TenantTable
@@ -119,14 +118,12 @@ class TestReleaseReturnsEverything:
         assert core.release(0)
         assert_virgin(core)
 
-    def test_release_returns_released_edges(self):
+    def test_release_reports_whether_live(self):
         table = TenantTable(small_cluster())
-        entry = table.admit("a", tenant_venv(1), REDUNDANT)
-        primary = {e for nodes in entry.mapping.paths.values() for e in path_edges(nodes)}
-        backup = {e for bk in entry.backups.values() for e in path_edges(bk.nodes)}
-        assert primary and backup
-        assert table.release("a") == primary | backup
-        assert table.release("a") is None
+        table.admit("a", tenant_venv(1), REDUNDANT)
+        assert table.release("a") is True
+        assert table.release("a") is False
+        assert "a" not in table.live
 
     def test_duplicate_key_rejected(self):
         table = TenantTable(small_cluster())
@@ -225,7 +222,7 @@ def test_redundant_store_resumes_bit_exactly(tmp_path):
 def test_interrupt_mid_networking_leaves_state_untouched(monkeypatch):
     core = ServiceCore(small_cluster(), config=REDUNDANT)
     assert core.admit(MapRequest(tenant=0, venv=tenant_venv(0))).admitted
-    before, epoch = residual_digest(core.state), core.state.bw_epoch
+    before = residual_digest(core.state)
     ledger_before = core.tenants.ledger.snapshot()
     real = pipeline.run_networking
 
@@ -237,7 +234,6 @@ def test_interrupt_mid_networking_leaves_state_untouched(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         core.admit(MapRequest(tenant=1, venv=tenant_venv(1)))
     assert residual_digest(core.state) == before
-    assert core.state.bw_epoch == epoch
     assert core.tenants.ledger.snapshot() == ledger_before
     assert list(core.live_tenants) == [0]
     core.tenants.audit()
