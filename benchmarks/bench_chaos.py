@@ -36,6 +36,7 @@ import json
 import os
 from pathlib import Path
 
+from _baseline import diff_baseline
 from _config import BASE_SEED, publish
 from repro.resilience import FailureModel, run_chaos, survivability
 from repro.topology import switched_cluster
@@ -43,7 +44,6 @@ from repro.workload import paper_clusters
 
 BASELINE = Path(__file__).parent / "BENCH_chaos.json"
 N_EVENTS = 1000
-FLOAT_TOL = 1e-6
 
 
 def _scenarios():
@@ -97,30 +97,6 @@ def _measure():
     return doc, results
 
 
-def _diff(path, expected, actual, errors):
-    if isinstance(expected, dict):
-        if not isinstance(actual, dict) or set(expected) != set(actual):
-            errors.append(f"{path}: keys differ")
-            return
-        for k in expected:
-            _diff(f"{path}.{k}", expected[k], actual[k], errors)
-    elif isinstance(expected, list):
-        if not isinstance(actual, list) or len(expected) != len(actual):
-            errors.append(f"{path}: length differs")
-            return
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            _diff(f"{path}[{i}]", e, a, errors)
-    elif isinstance(expected, bool) or isinstance(expected, int):
-        if expected != actual:
-            errors.append(f"{path}: {actual!r} != baseline {expected!r}")
-    elif isinstance(expected, float):
-        tol = FLOAT_TOL * max(1.0, abs(expected))
-        if not isinstance(actual, (int, float)) or abs(actual - expected) > tol:
-            errors.append(f"{path}: {actual!r} != baseline {expected!r} (tol {tol:g})")
-    elif expected != actual:
-        errors.append(f"{path}: {actual!r} != baseline {expected!r}")
-
-
 def test_survivability_baseline(benchmark):
     doc, results = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
@@ -151,7 +127,7 @@ def test_survivability_baseline(benchmark):
 
     baseline = json.loads(BASELINE.read_text())
     errors: list[str] = []
-    _diff("chaos", baseline, doc, errors)
+    diff_baseline("chaos", baseline, doc, errors)
     assert not errors, "survivability drifted from BENCH_chaos.json:\n" + "\n".join(
         errors
     )

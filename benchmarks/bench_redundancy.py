@@ -37,6 +37,7 @@ import json
 import os
 from pathlib import Path
 
+from _baseline import diff_baseline
 from _config import BASE_SEED, publish
 from repro.hmn import HMNConfig
 from repro.resilience import FailureModel, run_chaos, survivability
@@ -45,7 +46,6 @@ from repro.workload import paper_clusters
 
 BASELINE = Path(__file__).parent / "BENCH_redundancy.json"
 N_EVENTS = 1000
-FLOAT_TOL = 1e-6
 
 #: (label, redundancy k, backup paths) — the availability ladder.
 LEVELS = (("k0", 0, False), ("k1+bp", 1, True), ("k2+bp", 2, True))
@@ -137,30 +137,6 @@ def _measure():
     return doc
 
 
-def _diff(path, expected, actual, errors):
-    if isinstance(expected, dict):
-        if not isinstance(actual, dict) or set(expected) != set(actual):
-            errors.append(f"{path}: keys differ")
-            return
-        for k in expected:
-            _diff(f"{path}.{k}", expected[k], actual[k], errors)
-    elif isinstance(expected, list):
-        if not isinstance(actual, list) or len(expected) != len(actual):
-            errors.append(f"{path}: length differs")
-            return
-        for i, (e, a) in enumerate(zip(expected, actual)):
-            _diff(f"{path}[{i}]", e, a, errors)
-    elif isinstance(expected, bool) or isinstance(expected, int):
-        if expected != actual:
-            errors.append(f"{path}: {actual!r} != baseline {expected!r}")
-    elif isinstance(expected, float):
-        tol = FLOAT_TOL * max(1.0, abs(expected))
-        if not isinstance(actual, (int, float)) or abs(actual - expected) > tol:
-            errors.append(f"{path}: {actual!r} != baseline {expected!r} (tol {tol:g})")
-    elif expected != actual:
-        errors.append(f"{path}: {actual!r} != baseline {expected!r}")
-
-
 def test_redundancy_gates(benchmark):
     doc = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
@@ -198,5 +174,5 @@ def test_redundancy_gates(benchmark):
 
     baseline = json.loads(BASELINE.read_text())
     errors: list[str] = []
-    _diff("redundancy", baseline, doc, errors)
+    diff_baseline("redundancy", baseline, doc, errors)
     assert not errors, "drifted from BENCH_redundancy.json:\n" + "\n".join(errors)

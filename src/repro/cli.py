@@ -30,8 +30,9 @@ Commands mirror an emulator operator's workflow:
 ``conformance``
     Correctness tooling: ``verify`` recomputes the golden corpus and
     compares against the committed digests, ``fuzz`` runs the seeded
-    differential harness (route kernel vs reference routers, serial vs
-    parallel runner, exact solver on tiny instances), ``regen`` refreshes
+    differential harness (route kernel vs reference routers, production
+    vs reference Hosting/Migration, serial vs parallel runner, exact
+    solver on tiny instances), ``regen`` refreshes
     ``GOLDEN.json`` after an intentional behavior change.
 ``mappers``
     List the heuristic pool.
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--quiet", action="store_true", help="only print mismatches")
 
     cp = csub.add_parser("fuzz",
-                         help="differential fuzzing across routers/runners/exact")
+                         help="differential fuzzing across routers/stages/runners/exact")
     cp.add_argument("--seeds", type=int, default=50, metavar="N",
                     help="number of random instances to drive (default 50)")
     cp.add_argument("--base-seed", type=int, default=0)
@@ -698,7 +699,7 @@ def _conformance(args) -> int:
               f"unmappable: {report.n_unmappable}  exact-checked: "
               f"{report.n_exact_checked}  runner grids: {report.n_runner_grids}  "
               f"sharded: {report.n_sharded} ({report.n_shard_gap} mono-gaps)  "
-              f"redundant: {report.n_redundant}")
+              f"redundant: {report.n_redundant}  stage: {report.n_stage}")
         if not report.ok:
             print(f"{len(report.divergences)} divergence(s):", file=sys.stderr)
             for d in report.divergences:

@@ -1,6 +1,6 @@
 """Correctness tooling: golden corpus, metamorphic oracles, fuzzing.
 
-Four complementary ways to trust a mapper change:
+Five complementary ways to trust a mapper change:
 
 * :mod:`repro.conformance.digest` / :mod:`~repro.conformance.corpus`
   — content-addressed digests of canonical scenarios, pinned in
@@ -11,9 +11,12 @@ Four complementary ways to trust a mapper change:
 * :mod:`repro.conformance.differential` — a routing cache that
   re-runs every route query on the reference routers and records
   any disagreement, on the real mid-mapping residual state.
+* :mod:`repro.conformance.stages` — the list-walking reference
+  Hosting and Migration stages the vectorized production stages must
+  match decision for decision.
 * :mod:`repro.conformance.fuzz` — seeded differential fuzzing across
-  the route kernel and reference routers, serial/parallel runners,
-  validator, and exact solver.
+  the route kernel and reference routers, production and reference
+  stages, serial/parallel runners, validator, and exact solver.
 """
 
 from repro.conformance.corpus import (

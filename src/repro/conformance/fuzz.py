@@ -10,6 +10,13 @@ has grown:
   live mid-mapping residual state; any difference in path, bottleneck,
   latency, expansion count or error message is an ``engine-route``
   divergence;
+* **production vs reference stages** — Hosting and Migration run both
+  ways (:mod:`repro.hmn.hosting`/:mod:`repro.hmn.migration` against
+  :mod:`repro.conformance.stages`) from copies of one state, fresh and
+  pre-loaded with another tenant (sometimes with a blocked host), under
+  a random migration origin, policy and exhaustiveness; any difference
+  in assignments, stage statistics, failure or residuals is a
+  ``stage`` divergence;
 * **validate()** — every feasible result must satisfy Eqs. 1-9;
 * **exact solver** (tiny instances only) — the true placement optimum
   must satisfy ``objective(exact) <= objective(HMN)``, and exact
@@ -44,11 +51,15 @@ import numpy as np
 
 from repro.conformance.differential import DifferentialRoutingCache
 from repro.conformance.digest import digest
+from repro.conformance.stages import reference_hosting, reference_migration
 from repro.core.cluster import PhysicalCluster
+from repro.core.state import ClusterState
 from repro.core.validate import validate_mapping
 from repro.core.venv import VirtualEnvironment
 from repro.errors import MappingError, ModelError
 from repro.hmn.config import HMNConfig
+from repro.hmn.hosting import run_hosting
+from repro.hmn.migration import run_migration
 from repro.hmn.pipeline import hmn_map
 from repro.seeding import derive
 
@@ -106,6 +117,7 @@ class FuzzReport:
     n_shard_gap: int = 0
     n_redundant: int = 0
     n_portfolio: int = 0
+    n_stage: int = 0
     divergences: list[Divergence] = field(default_factory=list)
 
     @property
@@ -124,6 +136,7 @@ class FuzzReport:
             "n_shard_gap": self.n_shard_gap,
             "n_redundant": self.n_redundant,
             "n_portfolio": self.n_portfolio,
+            "n_stage": self.n_stage,
             "ok": self.ok,
             "divergences": [dataclasses.asdict(d) for d in self.divergences],
         }
@@ -291,6 +304,94 @@ def _check_one_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
         artifact = _artifact(cluster, venv, config)
         for check, detail in divergences:
             report.divergences.append(Divergence(seed, check, detail, artifact))
+
+
+def _stage_run(hosting, migration, state: ClusterState, venv, config) -> tuple:
+    """Hosting then Migration on *state*: (stats, failure)."""
+    stats: list[dict] = []
+    try:
+        stats.append(hosting(state, venv, config))
+        stats.append(migration(state, venv, config))
+    except (MappingError, ModelError) as exc:
+        return stats, (type(exc).__name__, getattr(exc, "guest_id", None))
+    return stats, None
+
+
+def _stage_differences(state: ClusterState, venv, config) -> list[str]:
+    """Production and reference stages from copies of *state*: every
+    difference in stats, failure, assignments or residual tables."""
+    prod_state, ref_state = state.copy(), state.copy()
+    prod = _stage_run(run_hosting, run_migration, prod_state, venv, config)
+    ref = _stage_run(reference_hosting, reference_migration, ref_state, venv, config)
+    out = []
+    if prod != ref:
+        out.append(f"(stats, failure): production {prod!r} != reference {ref!r}")
+    moved = prod_state.assignments.items() ^ ref_state.assignments.items()
+    if moved:
+        out.append(f"assignments differ for guests {sorted({g for g, _ in moved})[:10]}")
+    for table in ("mem", "stor", "cpu"):
+        prod_table, ref_table = (getattr(s.arrays, table) for s in (prod_state, ref_state))
+        if prod_table.tobytes() != ref_table.tobytes():
+            out.append(f"residual {table} tables differ")
+    return out
+
+
+def _check_stage_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
+    """Production vs reference Hosting+Migration on one instance, from a
+    fresh state and from one pre-loaded with another tenant.
+
+    The pre-loading tenant is mapped by the full pipeline (a failure
+    leaves the state empty); a quarter of the pre-loaded states also
+    lose a host to :meth:`~repro.core.state.ClusterState.block_host`.
+    """
+    from repro.io import venv_to_dict
+    from repro.workload import LOW_LEVEL, generate_virtual_environment
+
+    cluster, venv, config = generate_instance(seed, base_seed=base_seed)
+    rng = derive(base_seed, "conformance", "fuzz-stage", seed)
+    stage_config = dataclasses.replace(
+        config,
+        migration_enabled=True,
+        migration_origin=("loaded_min_residual", "strict_min_residual", "max_usage")[
+            int(rng.integers(0, 3))
+        ],
+        migration_policy=("min_intra_bw", "max_vproc", "random")[int(rng.integers(0, 3))],
+        migration_exhaustive=bool(rng.random() < 0.5),
+        seed=int(rng.integers(0, 2**31)),
+    )
+    other = generate_virtual_environment(
+        max(2, int(round(cluster.n_hosts * rng.uniform(0.3, 1.5)))),
+        workload=LOW_LEVEL,
+        seed=int(rng.integers(0, 2**31)),
+        id_offset=max(venv.guest_ids) + 1,
+    )
+    blocked = (
+        cluster.host_ids[int(rng.integers(0, cluster.n_hosts))]
+        if rng.random() < 0.25
+        else None
+    )
+    preloaded = ClusterState(cluster)
+    try:
+        hmn_map(cluster, other, config, state=preloaded)
+    except MappingError:
+        pass
+    if blocked is not None:
+        preloaded.block_host(blocked)
+
+    for name, state in (("fresh", ClusterState(cluster)), ("pre-loaded", preloaded)):
+        report.n_stage += 1
+        differences = _stage_differences(state, venv, stage_config)
+        if differences:
+            artifact = _artifact(cluster, venv, stage_config)
+            if state is preloaded:
+                artifact["preload"] = {
+                    "venv": venv_to_dict(other),
+                    "config": config.describe(),
+                    "blocked_host": blocked,
+                }
+            report.divergences.append(
+                Divergence(seed, "stage", f"{name}: " + "; ".join(differences), artifact)
+            )
 
 
 def _check_sharded_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
@@ -680,7 +781,8 @@ def run_fuzz(
 ) -> FuzzReport:
     """Run the full differential campaign over ``n_seeds`` instances.
 
-    ``runner_grids`` controls how many serial-vs-parallel grid
+    Every instance gets the mapping arms and the stage arm (fresh and
+    pre-loaded).  ``runner_grids`` controls how many serial-vs-parallel grid
     comparisons ride along (default: one per 25 seeds, minimum 1);
     ``shard_seeds`` how many forced-shard instances get the sharded
     arms, ``redundant_seeds`` how many get the availability arms, and
@@ -691,6 +793,7 @@ def run_fuzz(
     report = FuzzReport()
     for seed in range(n_seeds):
         _check_one_seed(seed, base_seed, report)
+        _check_stage_seed(seed, base_seed, report)
         report.seeds_run += 1
         if progress is not None:
             progress(seed, report)

@@ -363,13 +363,6 @@ class ResidualCpuTracker:
         """Return *vproc* MIPS to *host_id* (removal)."""
         self.apply_demand(host_id, -vproc)
 
-    def move_demand(self, src: NodeId, dst: NodeId, vproc: float) -> None:
-        """Move a *vproc*-MIPS guest from *src* to *dst*."""
-        if src == dst:
-            return
-        self.release_demand(src, vproc)
-        self.apply_demand(dst, vproc)
-
     # ------------------------------------------------------------------
     # hypothetical evaluation (no mutation)
     # ------------------------------------------------------------------
@@ -404,29 +397,9 @@ class ResidualCpuTracker:
             var = self._exact_variance_with({src: new_rs, dst: new_rd})
         return math.sqrt(max(var, 0.0))
 
-    def std_if_applied(self, host_id: NodeId, vproc: float) -> float:
-        """Eq. 10 value if a *vproc*-MIPS guest were placed on *host_id*."""
-        old = self.residual(host_id)
-        new = old - vproc
-        s = self._sum + new - old
-        sumsq = self._sumsq + new * new - old * old
-        mean_sq = (s / self._n) ** 2
-        var = sumsq / self._n - mean_sq
-        if var < self._CANCELLATION_GUARD * max(mean_sq, 1.0):
-            var = self._exact_variance_with({host_id: new})
-        return math.sqrt(max(var, 0.0))
-
     # ------------------------------------------------------------------
-    # ordering helpers used by the Migration stage
+    # host orderings (ties broken by host id string, for determinism)
     # ------------------------------------------------------------------
-    def most_loaded_host(self) -> NodeId:
-        """Host with the *smallest* residual CPU (highest load).
-
-        Ties broken by host id string for determinism.
-        """
-        res, index = self._residual, self._index
-        return min(self._ids, key=lambda h: (res[index[h]], str(h)))
-
     def hosts_by_load_descending(self) -> list[NodeId]:
         """Hosts from most loaded (least residual) to least loaded."""
         res, index = self._residual, self._index

@@ -33,113 +33,39 @@ Interpretation notes (the paper is silent on both):
   order) on the most-CPU-available fitting host.  The paper's
   generator guarantees connected virtual graphs, so this path never
   triggers in the reproduction experiments.
+
+The rule runs as :func:`repro.shard.vectorized.pod_hosting` on one pod
+that spans the cluster.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
-
-from repro.core.guest import Guest
 from repro.core.state import ClusterState
 from repro.core.venv import VirtualEnvironment
-from repro.errors import PlacementError
 from repro.hmn.config import HMNConfig
 from repro.hmn.ordering import ordered_vlinks
+from repro.shard.vectorized import PodState, pod_hosting
 
-__all__ = ["run_hosting", "fits_together"]
-
-NodeId = Hashable
-
-
-def fits_together(state: ClusterState, a: Guest, b: Guest, host_id: NodeId) -> bool:
-    """Whether guests *a* and *b* jointly fit on *host_id* right now."""
-    return (
-        state.residual_mem(host_id) >= a.vmem + b.vmem
-        and state.residual_stor(host_id) >= a.vstor + b.vstor
-    )
-
-
-def _first_fitting(state: ClusterState, guest: Guest, hosts: list[NodeId]) -> NodeId | None:
-    for h in hosts:
-        if state.fits(guest, h):
-            return h
-    return None
-
-
-def _place_or_fail(state: ClusterState, guest: Guest, hosts: list[NodeId]) -> NodeId:
-    host = _first_fitting(state, guest, hosts)
-    if host is None:
-        raise PlacementError(guest.id, "Hosting stage: no host has enough memory/storage")
-    state.place(guest, host)
-    return host
+__all__ = ["run_hosting"]
 
 
 def run_hosting(state: ClusterState, venv: VirtualEnvironment, config: HMNConfig) -> dict:
     """Execute the Hosting stage, mutating *state*.
 
+    The stage decides on a whole-cluster :class:`PodState`; its
+    placements are then made on *state* in the order the stage made
+    them — also when it raises, so a failed Hosting leaves what it
+    placed, as the rule does.
+
     Returns stage statistics: ``pairs_colocated`` (links whose endpoints
     were placed together by the pair rule), ``placements``,
     ``isolated_guests`` (extension path, see module docstring).
     """
-    pairs_colocated = 0
-    placements = 0
-
-    for link in ordered_vlinks(venv, config):
-        a_placed = state.is_placed(link.a)
-        b_placed = state.is_placed(link.b)
-        if a_placed and b_placed:
-            continue
-
-        hosts = state.cpu.hosts_by_residual_descending()
-        if not a_placed and not b_placed:
-            ga = venv.guest(link.a)
-            gb = venv.guest(link.b)
-            head = hosts[0]
-            if fits_together(state, ga, gb, head):
-                state.place(ga, head)
-                state.place(gb, head)
-                pairs_colocated += 1
-                placements += 2
-                continue
-            # Split placement: heaviest CPU demand first.
-            heavy, light = (ga, gb) if ga.vproc >= gb.vproc else (gb, ga)
-            heavy_host = _first_fitting(state, heavy, hosts)
-            if heavy_host is None:
-                raise PlacementError(heavy.id, "Hosting stage: no host has enough memory/storage")
-            state.place(heavy, heavy_host)
-            placements += 1
-            # Second guest: continue down the (re-sorted) list from just
-            # after the first guest's host, wrapping to the untried
-            # hosts before it (interpretation note in module docstring).
-            hosts = state.cpu.hosts_by_residual_descending()
-            idx = hosts.index(heavy_host)
-            scan = hosts[idx + 1 :] + hosts[:idx]
-            light_host = _first_fitting(state, light, scan)
-            if light_host is None:
-                raise PlacementError(light.id, "Hosting stage: no host has enough memory/storage")
-            state.place(light, light_host)
-            placements += 1
-        else:
-            placed_id, unplaced_id = (link.a, link.b) if a_placed else (link.b, link.a)
-            guest = venv.guest(unplaced_id)
-            peer_host = state.host_of(placed_id)
-            if state.fits(guest, peer_host):
-                state.place(guest, peer_host)
-            else:
-                _place_or_fail(state, guest, hosts)
-            placements += 1
-
-    # Extension: isolated guests (no incident virtual links).
-    isolated = 0
-    leftovers = [g for g in venv.guests() if not state.is_placed(g.id)]
-    leftovers.sort(key=lambda g: (-g.vproc, g.id))
-    for guest in leftovers:
-        _place_or_fail(state, guest, state.cpu.hosts_by_residual_descending())
-        isolated += 1
-        placements += 1
-
-    return {
-        "placements": placements,
-        "pairs_colocated": pairs_colocated,
-        "isolated_guests": isolated,
-    }
+    pod = PodState.from_state(state, state.cluster.host_ids)
+    try:
+        return pod_hosting(
+            pod, venv, ordered_vlinks(venv, config), [g.id for g in venv.guests()], config
+        )
+    finally:
+        for guest_id, pos in pod.placed.items():
+            state.place(venv.guest(guest_id), pod.ids[pos])

@@ -23,160 +23,51 @@ happens to be idle.  The default
 (``migration_origin="loaded_min_residual"``) therefore takes the
 minimum-residual host *among hosts holding at least one guest*; the
 literal reading (``"strict_min_residual"``) and a usage-based one
-(``"max_usage"``) are available for the ablation bench.  DESIGN.md
-discusses the choice.
+(``"max_usage"``, capacity minus residual) are available for the
+ablation bench.  DESIGN.md discusses the choice.  On a shared state
+every rule counts the whole host, other tenants' guests included, and
+only this environment's guests move: the stage stops when the origin
+holds none of them.
 
-The objective delta for each candidate destination is evaluated in
-O(1) with :class:`~repro.core.objective.ResidualCpuTracker`
-(``std_if_moved``), so an iteration costs O(n_hosts) plus the
-intra-host bandwidth scan — this is the stage the paper runs thousands
-of times on 2000-guest instances.
+The Eq. 10 value of every candidate destination is evaluated at once
+(the tracker's O(1) ``std_if_moved`` formula, replayed elementwise),
+so an iteration costs one vectorized pass plus the intra-host
+bandwidth scan — this is the stage the paper runs thousands of times
+on 2000-guest instances.
 
 Termination: every accepted move strictly decreases Eq. 10 by more
 than an epsilon, the objective is bounded below by zero, and each
 iteration without a move exits the loop — so the loop always
 terminates; ``migration_max_iterations`` is a pure safety valve.
+
+The loop runs as :func:`repro.shard.vectorized.pod_migration` on one
+pod that spans the cluster.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from repro.core.state import ClusterState
 from repro.core.venv import VirtualEnvironment
-from repro.errors import CapacityError
 from repro.hmn.config import HMNConfig
-from repro.seeding import rng_from
+from repro.shard.vectorized import PodState, pod_migration
 
-__all__ = [
-    "run_migration",
-    "intra_host_bandwidth",
-    "pick_migration_guest",
-    "origin_hosts",
-]
-
-NodeId = Hashable
-
-# A move must beat the current objective by more than float noise to
-# count as an improvement, or adversarial ties could cycle forever.
-# The tracker's running-sum-of-squares form cancels to ~1e-6 absolute
-# error at Table 1 magnitudes (thousands of MIPS squared), so the
-# epsilon sits above that floor; real improvements are >= 1e-2 MIPS.
-_IMPROVEMENT_EPS = 1e-5
-
-
-def intra_host_bandwidth(state: ClusterState, venv: VirtualEnvironment, guest_id: int) -> float:
-    """Sum of ``vbw`` over the guest's links to co-resident guests.
-
-    This is the traffic that migrating the guest would *newly* push
-    onto physical links — the quantity the paper minimizes when picking
-    the migration candidate.
-    """
-    host = state.host_of(guest_id)
-    total = 0.0
-    for link in venv.vlinks_of(guest_id):
-        other = link.other(guest_id)
-        if state.is_placed(other) and state.host_of(other) == host:
-            total += link.vbw
-    return total
-
-
-def pick_migration_guest(
-    state: ClusterState,
-    venv: VirtualEnvironment,
-    host_id: NodeId,
-    config: HMNConfig,
-) -> int | None:
-    """The guest to migrate off *host_id* under the configured policy.
-
-    Returns ``None`` when the host has no guests.  Ties break on guest
-    id, keeping the stage deterministic.
-    """
-    # Only this virtual environment's guests are candidates — a shared
-    # state may carry other tenants' placements, which this mapper must
-    # treat as immovable background load.
-    guests = sorted(g for g in state.guests_on(host_id) if g in venv)
-    if not guests:
-        return None
-    if config.migration_policy == "min_intra_bw":
-        return min(guests, key=lambda g: (intra_host_bandwidth(state, venv, g), g))
-    if config.migration_policy == "max_vproc":
-        return max(guests, key=lambda g: (venv.guest(g).vproc, -g))
-    rng = rng_from(config.seed)
-    return int(guests[int(rng.integers(len(guests)))])
-
-
-def origin_hosts(state: ClusterState, config: HMNConfig) -> list[NodeId]:
-    """Candidate migration origins, most loaded first.
-
-    Only the head of this list is used in the paper's loop;
-    ``migration_exhaustive`` walks further down.
-    """
-    if config.migration_origin == "max_usage":
-        usage = {
-            h.id: h.proc - state.residual_proc(h.id) for h in state.cluster.hosts()
-        }
-        hosts = [h for h, u in usage.items() if u > 0]
-        hosts.sort(key=lambda h: (-usage[h], str(h)))
-        return hosts
-    ordered = state.cpu.hosts_by_load_descending()
-    if config.migration_origin == "strict_min_residual":
-        return ordered
-    # "loaded_min_residual": only hosts that actually hold guests.
-    return [h for h in ordered if state.guests_on(h)]
+__all__ = ["run_migration"]
 
 
 def run_migration(state: ClusterState, venv: VirtualEnvironment, config: HMNConfig) -> dict:
     """Execute the Migration stage, mutating *state*.
 
+    The stage decides on a whole-cluster :class:`PodState` holding
+    *venv*'s placed guests; its moves are then made on *state* in the
+    order the stage made them, also when it raises.
+
     Returns stage statistics: ``migrations`` performed, ``iterations``
     of the outer loop, and the objective ``before``/``after``.
     """
-    before = state.objective()
-    migrations = 0
-    iterations = 0
-
-    while iterations < config.migration_max_iterations:
-        iterations += 1
-        current = state.objective()
-
-        origins = origin_hosts(state, config)
-        if not config.migration_exhaustive:
-            origins = origins[:1]
-
-        moved = False
-        for origin in origins:
-            guest_id = pick_migration_guest(state, venv, origin, config)
-            if guest_id is None:
-                # Strict-literal reading: an empty most-loaded host ends
-                # the stage (nothing can be migrated off it).
-                break
-            guest = state.placed_guest(guest_id)
-            src = state.host_of(guest_id)
-
-            # Destinations from least loaded up; first improving, fitting
-            # host wins (Section 4.2 verbatim).
-            for dst in state.cpu.hosts_by_residual_descending():
-                if dst == src:
-                    continue
-                if state.cpu.std_if_moved(src, dst, guest.vproc) >= current - _IMPROVEMENT_EPS:
-                    continue
-                try:
-                    state.move(guest_id, dst)
-                except CapacityError:
-                    continue
-                moved = True
-                migrations += 1
-                break
-            if moved:
-                break
-
-        if not moved:
-            break  # step 4: no improving move from the chosen origin(s)
-
-    return {
-        "migrations": migrations,
-        "iterations": iterations,
-        "objective_before": before,
-        "objective_after": state.objective(),
-    }
+    pod = PodState.from_state(state, state.cluster.host_ids, venv)
+    moves: list[tuple[int, int]] = []
+    try:
+        return pod_migration(pod, venv, config, move_log=moves)
+    finally:
+        for guest_id, pos in moves:
+            state.move(guest_id, pod.ids[pos])

@@ -125,7 +125,7 @@ def hmn_map(
         config = HMNConfig()
 
     # Very large substrates go down the shard-and-stitch path (same
-    # Mapping contract, pod-parallel decision-equivalent stages).  The
+    # Mapping contract, the same Hosting/Migration stages per pod).  The
     # resolver returns 0 — stay monolithic — for shard="off", for
     # "auto" below its size floor, and for degenerate pod counts, so
     # every paper-scale mapping is byte-identical to the unsharded one.

@@ -1,14 +1,16 @@
 """Shard-and-stitch mapping for very large substrates.
 
-The monolithic HMN pipeline is faithful to the paper but walks
-per-host Python loops and full-graph routing queries — fine at Table 1
-scale (tens of hosts), hopeless at 100k.  This package scales it out
-without changing what the heuristic *decides*:
+The monolithic HMN pipeline maps against the whole substrate at once:
+its Hosting and Migration already decide over numpy arrays, but
+Networking runs full-graph routing queries — fine at Table 1 scale
+(tens of hosts), hopeless at 100k.  This package scales it out by
+cutting the problem into pods:
 
 * :mod:`repro.shard.partition` cuts the substrate into pods along the
   topology's natural seams;
-* :mod:`repro.shard.vectorized` runs Hosting/Migration inside each pod
-  over flat numpy views, decision-equivalent to the reference stages;
+* :mod:`repro.shard.vectorized` holds the Hosting and Migration stages
+  every map runs — on one pod spanning the cluster when monolithic,
+  on each pod here;
 * :mod:`repro.shard.stitch` routes cross-pod virtual links in batched
   waves through corridor subgraphs with a dedicated C kernel;
 * :mod:`repro.shard.parallel` runs the pod-local stages across a
@@ -19,9 +21,11 @@ without changing what the heuristic *decides*:
   the same :class:`~repro.core.mapping.Mapping` contract as
   :func:`~repro.hmn.pipeline.hmn_map`.
 
-Engage it with ``HMNConfig(shard=...)`` — ``"auto"`` (the default)
-shards only at :data:`~repro.shard.partition.AUTO_MIN_HOSTS` hosts and
-above, so every paper-scale result stays byte-identical.  Add
+Sharding changes what the heuristic decides only where pods cut it:
+guests are spread over pods first, and Migration never moves a guest
+across pods.  Engage it with ``HMNConfig(shard=...)`` — ``"auto"``
+(the default) shards only at :data:`~repro.shard.partition.AUTO_MIN_HOSTS`
+hosts and above, so every paper-scale result stays byte-identical.  Add
 ``shard_workers=N`` (or ``REPRO_SHARD_WORKERS``) to parallelize the
 pod stages.
 """

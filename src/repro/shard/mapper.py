@@ -13,7 +13,7 @@
    one chunk turns the heaviest virtual links into intra-pod (often
    intra-host) links, which is the monolithic Hosting stage's own
    affinity goal.
-2. **hosting** — run the vectorized, decision-equivalent Hosting
+2. **hosting** — run the Hosting stage every map runs
    (:func:`repro.shard.vectorized.pod_hosting`) inside every pod
    against a pod-local :class:`~repro.shard.vectorized.PodState`.
    Guests a pod cannot take are *rescued*: retried across the other
@@ -282,9 +282,16 @@ def shard_map(
                 # Rescue crosses pod boundaries, so it always runs in
                 # the parent — its placements land in ``pod.placed``
                 # *after* the pod's own, which is exactly the order the
-                # migration tasks replay.
-                if failures:
-                    rescue = [venv.guest(g) for g in sorted(set(failures))]
+                # migration tasks replay.  A guest its pod failed once
+                # may still have landed there later (a peer joined it
+                # onto a host the split scan never offered); it is not
+                # homeless.
+                homeless = sorted(
+                    g for g in set(failures)
+                    if not any(g in pod.placed for pod in pod_states)
+                )
+                if homeless:
+                    rescue = [venv.guest(g) for g in homeless]
                     rescue.sort(key=lambda g: (-g.vproc, g.id))
                     for guest in rescue:
                         by_room = sorted(

@@ -8,8 +8,9 @@ module exploits that:
 
 * :class:`SharedSubstrate` publishes the substrate's flat arrays — the
   :class:`~repro.core.arrays.ArrayState` residual vectors (memory,
-  storage, CPU, bandwidth), the blocked-host mask, and the compiled
-  CSR topology — into one :mod:`multiprocessing.shared_memory` segment,
+  storage, CPU, bandwidth), CPU capacities, the blocked-host and
+  occupied-host masks, and the compiled CSR topology — into one
+  :mod:`multiprocessing.shared_memory` segment,
   **once** per ``shard_map`` call.  Workers read pod rows straight out
   of the segment; per-task payloads stay at "a few index arrays", not
   "the cluster".
@@ -102,8 +103,13 @@ class SharedSubstrate:
         compiled host-row order — what
         :meth:`~repro.shard.vectorized.PodState.from_state` would
         gather host by host.
-    ``blocked``
-        Per-host blocked mask (uint8).
+    ``cap``
+        Per-host CPU capacity (float64).
+    ``blocked``/``occupied``
+        Per-host blocked mask and whether the host already holds
+        guests (uint8) — at publication no guest of the mapping being
+        sharded is placed yet, so every guest there is another
+        tenant's.
     ``bw``
         Per-edge residual bandwidth (float64) — the live
         ``ClusterState.bw_array`` at publication time.
@@ -118,7 +124,7 @@ class SharedSubstrate:
     """
 
     _FIELDS = (
-        "mem", "stor", "cpu", "blocked", "bw",
+        "mem", "stor", "cpu", "cap", "blocked", "occupied", "bw",
         "adj_off", "adj_nodes", "adj_edges", "adj_lat",
     )
 
@@ -145,8 +151,12 @@ class SharedSubstrate:
             "mem": np.frombuffer(arrays.mem, dtype=np.int64),
             "stor": np.frombuffer(arrays.stor, dtype=np.float64),
             "cpu": np.frombuffer(arrays.cpu, dtype=np.float64),
+            "cap": np.frombuffer(topo.cpu0, dtype=np.float64),
             "blocked": np.array(
                 [state.is_blocked(h) for h in hosts], dtype=np.uint8
+            ),
+            "occupied": np.array(
+                [bool(state.guests_on(h)) for h in hosts], dtype=np.uint8
             ),
             "bw": np.frombuffer(arrays.bw, dtype=np.float64),
             "adj_off": np.frombuffer(topo.adj_offsets, dtype=np.int64),
@@ -195,7 +205,9 @@ class SharedSubstrate:
             self.mem[rows],
             self.stor[rows],
             self.cpu[rows],
+            self.cap[rows],
             self.blocked[rows].astype(bool),
+            self.occupied[rows].astype(bool),
         )
 
     def close(self) -> None:

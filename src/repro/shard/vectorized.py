@@ -1,18 +1,26 @@
-"""Pod-local Hosting and Migration over flat numpy arrays.
+"""Hosting and Migration over flat numpy arrays: the production stages.
 
-The monolithic stages (:mod:`repro.hmn.hosting`,
-:mod:`repro.hmn.migration`) walk Python lists of host ids and call
-per-host methods — perfectly fine at paper scale, linear-time poison
-at 100k hosts.  This module re-implements both stages over a
-:class:`PodState`: the pod's residual capacities gathered into numpy
+Every map runs Hosting (Section 4.1) and Migration (Section 4.2)
+through this module.  A monolithic map is one pod that spans the whole
+cluster: :func:`repro.hmn.hosting.run_hosting` and
+:func:`repro.hmn.migration.run_migration` gather it with
+:meth:`PodState.from_state`, run the stage, and replay its decisions
+onto the :class:`~repro.core.state.ClusterState`.  The sharded mapper
+(:mod:`repro.shard.mapper`) runs one pod per partition cell.
+
+A :class:`PodState` holds the pod's residual capacities in numpy
 arrays, so the inner decisions (host ordering, first-fit scans, the
-Migration destination sweep) are single vectorized passes.
+Migration destination sweep) are single vectorized passes.  It also
+holds what a shared state adds: each host's CPU capacity, and whether
+the host carries guests this mapping may not move (other tenants').
+Both migration-origin rules read them.
 
-**Decision equivalence is the contract.**  For any pod, running these
-stages must pick exactly the placements the reference stages pick on a
-pod-only cluster with the pod-internal virtual links — the property
-test in ``tests/test_shard_equivalence.py`` asserts it placement by
-placement.  That is why every comparison below reproduces the
+**Decision equivalence with the oracle is the contract.**  The
+list-walking stages in :mod:`repro.conformance.stages` state the
+paper's rules host by host; these stages must pick exactly the same
+placements and moves, on empty and pre-loaded states alike
+(``tests/test_shard_equivalence.py`` and the fuzzer's ``stage`` arm
+check it).  That is why every comparison below reproduces the
 reference formulas verbatim (same float operations in the same order:
 the Migration candidate evaluation replays
 :meth:`~repro.core.objective.ResidualCpuTracker.std_if_moved`
@@ -35,12 +43,18 @@ from repro.core.state import ClusterState
 from repro.core.venv import VirtualEnvironment
 from repro.errors import CapacityError, ModelError, PlacementError
 from repro.hmn.config import HMNConfig
-from repro.hmn.migration import _IMPROVEMENT_EPS
 from repro.seeding import rng_from
 
 __all__ = ["PodState", "pod_hosting", "pod_migration"]
 
 NodeId = Hashable
+
+# A move must beat the current objective by more than float noise to
+# count as an improvement, or adversarial ties could cycle forever.
+# The tracker's running-sum-of-squares form cancels to ~1e-6 absolute
+# error at Table 1 magnitudes (thousands of MIPS squared), so the
+# epsilon sits above that floor; real improvements are >= 1e-2 MIPS.
+_IMPROVEMENT_EPS = 1e-5
 
 
 class PodState:
@@ -49,12 +63,14 @@ class PodState:
     Positions (0..n-1) follow the order *host_ids* was given in; the
     CPU residuals live in a :class:`ResidualCpuTracker` wrapped around
     the same buffer as the numpy view, so O(1) incremental aggregates
-    and vectorized scans read one source of truth.
+    and vectorized scans read one source of truth.  ``cap`` is each
+    host's CPU capacity and ``occupied`` whether it holds guests that
+    are not this pod's to move; neither changes while a stage runs.
     """
 
     __slots__ = (
-        "ids", "index", "id_strs", "mem", "stor", "blocked",
-        "tracker", "res", "res0", "placed", "_guests_on",
+        "ids", "index", "id_strs", "mem", "stor", "blocked", "cap", "occupied",
+        "tracker", "res", "placed", "_guests_on",
     )
 
     def __init__(
@@ -63,7 +79,9 @@ class PodState:
         mem: Iterable[float],
         stor: Iterable[float],
         proc: Iterable[float],
-        blocked: Iterable[bool] | None = None,
+        cap: Iterable[float],
+        blocked: Iterable[bool],
+        occupied: Iterable[bool],
     ) -> None:
         if not host_ids:
             raise ModelError("a pod needs at least one host")
@@ -74,7 +92,7 @@ class PodState:
         self.stor = np.array(list(stor), dtype=np.float64)
         residual = array("d", (float(v) for v in proc))
         self.res = np.frombuffer(residual, dtype=np.float64)
-        self.res0 = self.res.copy()
+        self.cap = np.array(list(cap), dtype=np.float64)
         self.tracker = ResidualCpuTracker.wrapping(
             self.ids,
             self.index,
@@ -82,26 +100,44 @@ class PodState:
             math.fsum(residual),
             math.fsum(v * v for v in residual),
         )
+        self.blocked = np.array(list(blocked), dtype=bool)
+        self.occupied = np.array(list(occupied), dtype=bool)
         n = len(self.ids)
-        if blocked is None:
-            self.blocked = np.zeros(n, dtype=bool)
-        else:
-            self.blocked = np.array(list(blocked), dtype=bool)
-        if not (len(self.mem) == len(self.stor) == len(self.res) == n == len(self.blocked)):
+        sizes = (self.mem, self.stor, self.res, self.cap, self.blocked, self.occupied)
+        if any(len(a) != n for a in sizes):
             raise ModelError("PodState arrays must all match the host count")
         self.placed: dict[int, int] = {}
         self._guests_on: dict[int, set[int]] = {}
 
     @classmethod
-    def from_state(cls, state: ClusterState, host_ids: Sequence[NodeId]) -> "PodState":
-        """Gather a pod view from the live (possibly multi-tenant) state."""
-        return cls(
+    def from_state(
+        cls,
+        state: ClusterState,
+        host_ids: Sequence[NodeId],
+        venv: VirtualEnvironment | None = None,
+    ) -> "PodState":
+        """Gather a pod view from the live (possibly multi-tenant) state.
+
+        Guests of *venv* already on the state become this pod's own
+        placements, taken as they stand (their demand is already in the
+        residuals).  Every other guest marks its host ``occupied``.
+        """
+        on = [state.guests_on(h) for h in host_ids]
+        own = [{g for g in guests if venv is not None and g in venv} for guests in on]
+        pod = cls(
             host_ids,
             (state.residual_mem(h) for h in host_ids),
             (state.residual_stor(h) for h in host_ids),
             (state.cpu.residual(h) for h in host_ids),
+            (state.cluster.host(h).proc for h in host_ids),
             (state.is_blocked(h) for h in host_ids),
+            (len(mine) < len(guests) for mine, guests in zip(own, on)),
         )
+        for pos, mine in enumerate(own):
+            if mine:
+                pod._guests_on[pos] = mine
+                pod.placed.update((g, pos) for g in sorted(mine))
+        return pod
 
     @property
     def n_hosts(self) -> int:
@@ -190,10 +226,12 @@ def pod_hosting(
 ) -> dict:
     """Run the Hosting stage inside one pod.
 
-    *links* are the pod-internal virtual links, already in the
-    configured processing order; *guest_ids* are all guests assigned to
-    this pod (guests untouched by *links* — including guests whose only
-    links cross pods — take the reference's isolated-guest path).
+    The rule and its interpretation notes (split-placement wrap-around,
+    isolated guests) are in :mod:`repro.hmn.hosting`.  *links* are the
+    pod-internal virtual links, already in the configured processing
+    order; *guest_ids* are all guests assigned to this pod (guests
+    untouched by *links* — including guests whose only links cross
+    pods — take the isolated-guest path).
 
     Raises :class:`PlacementError` when the pod cannot take a guest —
     unless *failures* is given, in which case unplaceable guest ids are
@@ -247,6 +285,9 @@ def pod_hosting(
                 continue
             pod.place(heavy, heavy_pos)
             placements += 1
+            # Second guest: continue down the re-sorted order from just
+            # after the first guest's host, wrapping to the untried
+            # hosts before it.
             order = pod.order_residual_desc()
             idx = int(np.nonzero(order == heavy_pos)[0][0])
             scan = np.concatenate((order[idx + 1 :], order[:idx]))
@@ -274,6 +315,8 @@ def pod_hosting(
                 pod.place(guest, pos)
             placements += 1
 
+    # Guests no link placed, heaviest first, on the most CPU-available
+    # fitting host.
     isolated = 0
     leftovers = [venv.guest(g) for g in guest_ids if g not in pod.placed]
     leftovers.sort(key=lambda g: (-g.vproc, g.id))
@@ -322,15 +365,24 @@ def _pick_guest(
 
 
 def _origin_positions(pod: PodState, config: HMNConfig) -> list[int]:
+    """Candidate migration origins, most loaded first.
+
+    Every rule counts the whole host, other tenants' guests included:
+    ``max_usage`` measures usage from the host's capacity, and the
+    default keeps hosts that hold any guest.  The stage stops at the
+    first origin with none of this pod's guests.
+    """
     if config.migration_origin == "max_usage":
-        usage = pod.res0 - pod.res
+        usage = pod.cap - pod.res
         positions = [int(i) for i in np.nonzero(usage > 0)[0]]
         positions.sort(key=lambda i: (-usage[i], str(pod.ids[i])))
         return positions
-    ordered = [int(i) for i in pod.order_load_desc()]
+    ordered = pod.order_load_desc()
     if config.migration_origin == "strict_min_residual":
-        return ordered
-    return [i for i in ordered if pod.guests_on(i)]
+        return ordered.tolist()
+    holds = pod.occupied.copy()
+    holds[[pos for pos, guests in pod._guests_on.items() if guests]] = True
+    return ordered[holds[ordered]].tolist()
 
 
 def _candidate_stds(pod: PodState, src: int, vproc: float) -> np.ndarray:
@@ -366,11 +418,13 @@ def pod_migration(
 ) -> dict:
     """Run the Migration stage inside one pod (vectorized sweep).
 
-    The improvement criterion is the pod-local Eq. 10.  Because a move
-    keeps the residual *sum* constant, the global and pod-local
-    variance deltas are the same quantity (``Δsumsq / n``), so every
-    pod-local improvement is a global improvement too — sharding
-    changes the threshold granularity, not the direction of descent.
+    The loop, and what "most loaded" means on heterogeneous clusters,
+    are in :mod:`repro.hmn.migration`.  The improvement criterion is
+    the pod-local Eq. 10.  Because a move keeps the residual *sum*
+    constant, the global and pod-local variance deltas are the same
+    quantity (``Δsumsq / n``), so every pod-local improvement is a
+    global improvement too — sharding changes the threshold
+    granularity, not the direction of descent.
 
     When *move_log* is given, every accepted move is appended as
     ``(guest_id, dst_position)`` in execution order, so a caller in

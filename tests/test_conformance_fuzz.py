@@ -100,6 +100,43 @@ class TestShardedArms:
         assert json.loads(json.dumps(report.to_dict()))["n_shard_gap"] == 1
 
 
+class TestStageArm:
+    """Production vs reference Hosting+Migration, fresh and pre-loaded."""
+
+    def test_stage_arm_smoke(self):
+        report = run_fuzz(
+            4, runner_grids=0, shard_seeds=0, redundant_seeds=0, portfolio_seeds=0
+        )
+        assert report.ok, [str(d) for d in report.divergences]
+        assert report.n_stage == 8  # one fresh + one pre-loaded per seed
+        assert report.to_dict()["n_stage"] == 8
+
+    def test_this_tenant_only_origin_detected(self, monkeypatch):
+        """An origin rule that sees only this tenant's guests (skipping
+        hosts only other tenants load) must surface as a ``stage``
+        divergence on a pre-loaded state, with the pre-load in its
+        artifact."""
+        import repro.shard.vectorized as vec
+
+        real = vec._origin_positions
+
+        def this_tenant_only(pod, config):
+            if config.migration_origin != "loaded_min_residual":
+                return real(pod, config)
+            return [int(i) for i in pod.order_load_desc() if pod.guests_on(int(i))]
+
+        monkeypatch.setattr(vec, "_origin_positions", this_tenant_only)
+        report = FuzzReport()
+        fuzz_mod._check_stage_seed(21, 0, report)  # seed 21 draws that origin
+        assert report.n_stage == 2
+        assert [d.check for d in report.divergences] == ["stage"]
+        assert report.divergences[0].detail.startswith("pre-loaded: ")
+        art = report.divergences[0].artifact
+        assert set(art) == {"cluster", "venv", "config", "preload"}
+        assert set(art["preload"]) == {"venv", "config", "blocked_host"}
+        json.dumps(art)  # replayable means serializable
+
+
 class TestInjectedDivergence:
     """A perturbed route kernel must surface as an ``engine-route``
     divergence (the differential cache compares every route query with

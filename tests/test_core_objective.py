@@ -82,18 +82,13 @@ class TestTracker:
             vproc = float(rng.uniform(10, 300))
             predicted = tracker.std_if_moved(int(src), int(dst), vproc)
             probe = tracker.copy()
-            probe.move_demand(int(src), int(dst), vproc)
+            probe.release_demand(int(src), vproc)
+            probe.apply_demand(int(dst), vproc)
             assert predicted == pytest.approx(probe.std(), rel=1e-9)
 
     def test_std_if_moved_same_host_is_identity(self):
         tracker = ResidualCpuTracker({0: 100.0, 1: 200.0})
         assert tracker.std_if_moved(0, 0, 50.0) == pytest.approx(tracker.std())
-
-    def test_std_if_applied_matches_real_apply(self):
-        tracker = ResidualCpuTracker({0: 100.0, 1: 200.0, 2: 400.0})
-        predicted = tracker.std_if_applied(2, 150.0)
-        tracker.apply_demand(2, 150.0)
-        assert predicted == pytest.approx(tracker.std())
 
     def test_release_inverts_apply(self):
         tracker = ResidualCpuTracker({0: 100.0, 1: 200.0})
@@ -104,13 +99,12 @@ class TestTracker:
 
     def test_host_orderings(self):
         tracker = ResidualCpuTracker({0: 300.0, 1: 100.0, 2: 200.0})
-        assert tracker.most_loaded_host() == 1
         assert tracker.hosts_by_load_descending() == [1, 2, 0]
         assert tracker.hosts_by_residual_descending() == [0, 2, 1]
 
     def test_tie_break_is_deterministic(self):
         tracker = ResidualCpuTracker({5: 100.0, 3: 100.0})
-        assert tracker.most_loaded_host() == 3  # "3" < "5" stringwise
+        assert tracker.hosts_by_load_descending() == [3, 5]  # "3" < "5" stringwise
 
     def test_from_cluster(self, line3):
         tracker = ResidualCpuTracker.from_cluster(line3)

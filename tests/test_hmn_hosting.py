@@ -1,4 +1,4 @@
-"""Unit tests for the HMN Hosting stage."""
+"""Unit tests for the HMN Hosting stage (and the oracle's pair-fit helper)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import ClusterState, Guest, Host, PhysicalCluster, VirtualEnvironment, VirtualLink
 from repro.errors import PlacementError
-from repro.hmn import HMNConfig, fits_together, ordered_vlinks, run_hosting
+from repro.conformance.stages import fits_together
+from repro.hmn import HMNConfig, ordered_vlinks, run_hosting
 
 
 def cluster2(mem0=4096, mem1=4096, proc0=3000.0, proc1=1000.0):

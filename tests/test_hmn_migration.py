@@ -1,12 +1,12 @@
-"""Unit tests for the HMN Migration stage."""
+"""Unit tests for the HMN Migration stage (and the oracle's selection helpers)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import ClusterState, Guest, Host, PhysicalCluster, VirtualEnvironment, VirtualLink
-from repro.hmn import HMNConfig, intra_host_bandwidth, pick_migration_guest, run_migration
-from repro.hmn.migration import origin_hosts
+from repro.conformance.stages import intra_host_bandwidth, origin_hosts, pick_migration_guest
+from repro.hmn import HMNConfig, run_migration
 
 
 def flat_cluster(n=3, proc=1000.0):

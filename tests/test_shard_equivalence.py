@@ -1,11 +1,16 @@
-"""Sharded-vs-monolithic equivalence and quality battery.
+"""Production-vs-oracle stage equivalence and sharding quality battery.
 
-Three layers of proof that sharding changes *scale*, not *semantics*:
+Three layers of proof that the production stages decide what the
+paper's rules decide, and that sharding changes *scale*, not
+*semantics*:
 
-1. **Decision equivalence** (property-tested): on a pod-only view of
-   any cluster, the vectorized :func:`pod_hosting`/:func:`pod_migration`
-   pick exactly the placements the reference stages pick — placement by
-   placement, including failure cases.
+1. **Decision equivalence** (property-tested): the production
+   :func:`run_hosting`/:func:`run_migration` (the vectorized pod stages
+   on one whole-cluster pod) pick exactly the placements and moves of
+   the list-walking oracle in :mod:`repro.conformance.stages` — on
+   empty states and on states another tenant loaded first, sometimes
+   with a blocked host, under every migration origin, policy and
+   exhaustiveness — with equal stats, failures and bit-equal residuals.
 2. **Byte identity**: ``shard="off"`` and ``shard="auto"`` below the
    size floor produce digest-identical mappings (all pre-existing
    results are untouched by the sharding subsystem's existence).
@@ -21,23 +26,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import mapping_digest
+from repro.conformance.stages import reference_hosting, reference_migration
 from repro.core import ClusterState, validate_mapping
-from repro.errors import MappingError, PlacementError
-from repro.hmn import HMNConfig, hmn_map
-from repro.hmn.hosting import run_hosting
-from repro.hmn.migration import run_migration
-from repro.hmn.ordering import ordered_vlinks
-from repro.shard import (
-    SHARD_QUALITY_RATIO,
-    SHARD_QUALITY_SLACK,
-    PodState,
-    pod_hosting,
-    pod_migration,
-    shard_map,
-)
+from repro.errors import CapacityError, MappingError
+from repro.hmn import HMNConfig, hmn_map, run_hosting, run_migration
+from repro.shard import SHARD_QUALITY_RATIO, SHARD_QUALITY_SLACK, shard_map
 from repro.topology import random_cluster, switched_cluster, torus_cluster
 from repro.topology.fattree import fat_tree_cluster
 from repro.workload import HIGH_LEVEL, LOW_LEVEL, generate_virtual_environment
+
+ORIGINS = ("loaded_min_residual", "strict_min_residual", "max_usage")
+POLICIES = ("min_intra_bw", "max_vproc", "random")
 
 TOPOLOGY_BUILDERS = (
     lambda seed: torus_cluster(3, 4, seed=seed),
@@ -59,79 +58,139 @@ def pod_instance(draw):
     return cluster, venv
 
 
-def reference_hosting(cluster, venv, config):
+def preload(cluster, other, blocked=None):
+    """A state another tenant (*other*) was mapped onto first; a failed
+    mapping leaves it empty.  *blocked* is then masked, guests and all."""
     state = ClusterState(cluster)
     try:
-        run_hosting(state, venv, config)
-    except PlacementError as exc:
-        return state, exc
-    return state, None
+        hmn_map(cluster, other, HMNConfig(), state=state)
+    except MappingError:
+        pass
+    if blocked is not None:
+        state.block_host(blocked)
+    return state
 
 
-def pod_view_hosting(cluster, venv, config):
-    pod = PodState.from_state(ClusterState(cluster), cluster.host_ids)
-    links = ordered_vlinks(venv, config)
-    guest_ids = [g.id for g in venv.guests()]
+@st.composite
+def shared_instance(draw):
+    """A pod instance on a fresh state, or on one another tenant loaded
+    first, sometimes with a blocked host."""
+    cluster, venv = draw(pod_instance())
+    if not draw(st.booleans()):
+        return cluster, venv, ClusterState(cluster)
+    other = generate_virtual_environment(
+        draw(st.integers(2, 20)),
+        workload=LOW_LEVEL,
+        seed=draw(st.integers(0, 10_000)),
+        id_offset=1000,
+    )
+    blocked = draw(st.one_of(st.none(), st.sampled_from(cluster.host_ids)))
+    return cluster, venv, preload(cluster, other, blocked)
+
+
+def run_stages(hosting, migration, state, venv, config):
+    """Hosting, then Migration, on *state*: (stats, failure)."""
+    stats = []
     try:
-        pod_hosting(pod, venv, links, guest_ids, config)
-    except PlacementError as exc:
-        return pod, exc
-    return pod, None
+        stats.append(hosting(state, venv, config))
+        if config.migration_enabled:
+            stats.append(migration(state, venv, config))
+    except (MappingError, CapacityError) as exc:
+        return stats, (type(exc), getattr(exc, "guest_id", None))
+    return stats, None
+
+
+def assert_stages_equal(state, venv, config):
+    """Production and oracle from copies of *state* decide alike."""
+    prod_state, ref_state = state.copy(), state.copy()
+    prod = run_stages(run_hosting, run_migration, prod_state, venv, config)
+    ref = run_stages(reference_hosting, reference_migration, ref_state, venv, config)
+    assert prod == ref
+    assert prod_state.assignments == ref_state.assignments
+    for table in ("mem", "stor", "cpu"):
+        assert (
+            getattr(prod_state.arrays, table).tobytes()
+            == getattr(ref_state.arrays, table).tobytes()
+        ), table
 
 
 class TestDecisionEquivalence:
-    """pod_* stages == reference stages on a single-pod view."""
+    """Production stages == list-walking oracle, decision by decision."""
 
     @settings(max_examples=60, deadline=None)
     @given(pod_instance())
     def test_hosting_identical(self, instance):
         cluster, venv = instance
-        config = HMNConfig()
-        state, ref_err = reference_hosting(cluster, venv, config)
-        pod, pod_err = pod_view_hosting(cluster, venv, config)
-        if ref_err is not None:
-            assert pod_err is not None and pod_err.args[0] == ref_err.args[0]
-            return
-        assert pod_err is None
-        expected = {g.id: state.host_of(g.id) for g in venv.guests()}
-        assert pod.assignment() == expected
+        config = HMNConfig(migration_enabled=False)
+        assert_stages_equal(ClusterState(cluster), venv, config)
 
     @settings(max_examples=40, deadline=None)
     @given(pod_instance())
     def test_migration_identical(self, instance):
         cluster, venv = instance
-        config = HMNConfig()
-        state, ref_err = reference_hosting(cluster, venv, config)
-        pod, pod_err = pod_view_hosting(cluster, venv, config)
-        if ref_err is not None or pod_err is not None:
-            return
-        ref_stats = run_migration(state, venv, config)
-        pod_stats = pod_migration(pod, venv, config)
-        expected = {g.id: state.host_of(g.id) for g in venv.guests()}
-        assert pod.assignment() == expected
-        assert pod_stats["migrations"] == ref_stats["migrations"]
-        assert pod_stats["iterations"] == ref_stats["iterations"]
-        assert pod_stats["objective_after"] == pytest.approx(
-            ref_stats["objective_after"], abs=1e-9
-        )
+        assert_stages_equal(ClusterState(cluster), venv, HMNConfig())
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
-        pod_instance(),
-        st.sampled_from(["max_vproc", "min_intra_bw"]),
-        st.sampled_from(["loaded_min_residual", "strict_min_residual", "max_usage"]),
+        shared_instance(),
+        st.sampled_from(POLICIES),
+        st.sampled_from(ORIGINS),
+        st.booleans(),
     )
-    def test_migration_identical_under_ablations(self, instance, policy, origin):
-        cluster, venv = instance
-        config = HMNConfig(migration_policy=policy, migration_origin=origin)
-        state, ref_err = reference_hosting(cluster, venv, config)
-        pod, pod_err = pod_view_hosting(cluster, venv, config)
-        if ref_err is not None or pod_err is not None:
-            return
-        run_migration(state, venv, config)
-        pod_migration(pod, venv, config)
-        expected = {g.id: state.host_of(g.id) for g in venv.guests()}
-        assert pod.assignment() == expected
+    def test_migration_identical_under_ablations(self, instance, policy, origin, exhaustive):
+        cluster, venv, state = instance
+        config = HMNConfig(
+            migration_policy=policy,
+            migration_origin=origin,
+            migration_exhaustive=exhaustive,
+            seed=7,
+        )
+        assert_stages_equal(state, venv, config)
+
+
+PRELOADED_GRID = [
+    (family, seed)
+    for family in ("torus", "switched", "fat-tree")
+    for seed in range(4)
+]
+
+
+@pytest.fixture(scope="module", params=PRELOADED_GRID, ids=lambda p: f"{p[0]}-{p[1]}")
+def preloaded(request):
+    """Twelve shared states; the fourth of each family has the host
+    with the most guests blocked, guests and all, like a failed host."""
+    family, seed = request.param
+    cluster = {
+        "torus": lambda: torus_cluster(3, 4, seed=seed),
+        "switched": lambda: switched_cluster(12, seed=seed),
+        "fat-tree": lambda: fat_tree_cluster(4, seed=seed),
+    }[family]()
+    other = generate_virtual_environment(
+        cluster.n_hosts, workload=LOW_LEVEL, seed=seed, id_offset=1000
+    )
+    state = preload(cluster, other)
+    assert state.n_placed == other.n_guests
+    if seed == 3:
+        state.block_host(max(cluster.host_ids, key=lambda h: len(state.guests_on(h))))
+    venv = generate_virtual_environment(2 * cluster.n_hosts, seed=seed + 100)
+    return state, venv
+
+
+class TestPreloadedGrid:
+    """Every origin x policy x exhaustiveness on twelve shared states."""
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("origin", ORIGINS)
+    def test_matches_oracle(self, preloaded, origin, policy, exhaustive):
+        state, venv = preloaded
+        config = HMNConfig(
+            migration_origin=origin,
+            migration_policy=policy,
+            migration_exhaustive=exhaustive,
+            seed=5,
+        )
+        assert_stages_equal(state, venv, config)
 
 
 class TestShardOffByteIdentity:
@@ -190,6 +249,20 @@ class TestShardedQuality:
             return
         report = validate_mapping(cluster, venv, mapping, raise_on_error=False)
         assert report.ok, str(report)
+
+    def test_guest_placed_after_pod_failure_is_not_rescued(self):
+        """A guest its pod's split scan failed can still land in that
+        pod when a later link joins it to a peer; the overflow rescue
+        must not place it a second time."""
+        cluster = fat_tree_cluster(4, seed=3, lat=1.0)
+        venv = generate_virtual_environment(48, workload=HIGH_LEVEL, seed=10)
+        for workers in (1, 2):
+            mapping = shard_map(cluster, venv, HMNConfig(shard_workers=workers), n_pods=4)
+            validate_mapping(cluster, venv, mapping)
+            hosting = mapping.stages[1]
+            assert hosting.name == "hosting"
+            assert hosting.extra["placements"] == 48
+            assert hosting.extra["rescued_guests"] == 0
 
     def test_shared_state_restored_on_failure(self):
         cluster = switched_cluster(6, seed=2)

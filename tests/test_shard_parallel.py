@@ -31,10 +31,23 @@ def _instance(k=4, n_guests=28, seed=7):
     return cluster, venv
 
 
-def _map_digest(cluster, venv, **overrides):
+def _map_digest(cluster, venv, state=None, **overrides):
     config = HMNConfig(shard=4, **overrides)
-    mapping = hmn_map(cluster, venv, config)
+    mapping = hmn_map(cluster, venv, config, state=state)
     return digest(cluster, venv, mapping), mapping
+
+
+def _second_tenant(cluster):
+    """A light second tenant and the state a heavy first tenant left
+    behind.  In one pod the most loaded host holds only the first
+    tenant's guests, so it is the migration origin there."""
+    first = generate_virtual_environment(48, seed=10, id_offset=1000)
+    state = ClusterState(cluster)
+    hmn_map(cluster, first, HMNConfig(shard=4), state=state)
+    second = generate_virtual_environment(
+        12, workload=LOW_LEVEL, density=2.4 / 11, seed=11
+    )
+    return second, state
 
 
 # ----------------------------------------------------------------------
@@ -95,32 +108,34 @@ class TestSharedSubstrate:
             sub.unlink()
 
     def test_pod_state_value_identical_to_from_state(self):
+        import numpy as np
+
         from repro.shard.partition import partition_cluster
         from repro.shard.vectorized import PodState
 
-        cluster, venv = _instance()
-        state = ClusterState(cluster)
+        cluster, _venv = _instance()
         part = partition_cluster(cluster, 4)
-        sub = SharedSubstrate.publish(state)
-        try:
-            topo = state.topology
-            import numpy as np
-
-            for pod_hosts in part.pods:
-                rows = np.array(
-                    [topo.host_index[h] for h in pod_hosts], dtype=np.int64
-                )
-                a = PodState.from_state(state, pod_hosts)
-                b = sub.pod_state(topo.nodes[: topo.n_hosts], rows)
-                assert a.ids == b.ids
-                assert a.mem.tolist() == b.mem.tolist()
-                assert a.stor.tolist() == b.stor.tolist()
-                assert a.res.tolist() == b.res.tolist()
-                assert a.tracker.running_sum == b.tracker.running_sum
-                assert a.tracker.running_sumsq == b.tracker.running_sumsq
-        finally:
-            sub.close()
-            sub.unlink()
+        _second, preloaded = _second_tenant(cluster)
+        preloaded.block_host(cluster.host_ids[0])
+        assert preloaded.n_placed
+        for state in (ClusterState(cluster), preloaded):
+            sub = SharedSubstrate.publish(state)
+            try:
+                topo = state.topology
+                for pod_hosts in part.pods:
+                    rows = np.array(
+                        [topo.host_index[h] for h in pod_hosts], dtype=np.int64
+                    )
+                    a = PodState.from_state(state, pod_hosts)
+                    b = sub.pod_state(topo.nodes[: topo.n_hosts], rows)
+                    assert a.ids == b.ids
+                    for field in ("mem", "stor", "res", "cap", "blocked", "occupied"):
+                        assert getattr(a, field).tolist() == getattr(b, field).tolist()
+                    assert a.tracker.running_sum == b.tracker.running_sum
+                    assert a.tracker.running_sumsq == b.tracker.running_sumsq
+            finally:
+                sub.close()
+                sub.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +172,16 @@ class TestParallelDigestIdentity:
         d_serial, _ = _map_digest(cluster, venv)
         assert m_par.meta["shard"]["n_workers"] == 2
         assert d_par == d_serial
+
+    def test_second_tenant_byte_identical_to_serial(self):
+        """Workers must see the first tenant's occupancy as the serial
+        path does, or the second tenant's migration origins differ."""
+        cluster, _venv = _instance()
+        venv, state = _second_tenant(cluster)
+        d_serial, _ = _map_digest(cluster, venv, state=state.copy(), shard_workers=1)
+        d_par, m_par = _map_digest(cluster, venv, state=state.copy(), shard_workers=2)
+        assert d_par == d_serial
+        assert m_par.meta["shard"]["n_workers"] == 2
 
     def test_migration_disabled_round_trip(self):
         cluster, venv = _instance()
