@@ -24,6 +24,9 @@ The incremental form keeps running ``sum`` and ``sum of squares``:
 ``std^2 = (sumsq - sum^2 / n) / n``.  Moving a guest with demand ``d``
 from host ``a`` to host ``b`` changes only two residuals, so the new
 ``sum`` is unchanged and the new ``sumsq`` is adjusted with four terms.
+The exact (two-pass :func:`math.fsum`) value the tracker reports is
+kept between reads too, term by term, so a read after a move costs
+O(changed hosts) plus one vectorized comparison.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from repro.errors import ModelError, UnknownNodeError
 __all__ = [
     "residual_proc",
     "load_balance_factor",
+    "exact_variance_of",
     "objective_of_assignment",
     "placement_objective",
     "balance_lower_bound",
@@ -80,6 +84,19 @@ def load_balance_factor(residuals: Iterable[float] | np.ndarray) -> float:
     if arr.size == 0:
         raise ModelError("load balance factor of an empty cluster is undefined")
     return float(arr.std())
+
+
+def exact_variance_of(values: Sequence[float]) -> float:
+    """Population variance of *values*, two-pass :func:`math.fsum`.
+
+    The Eq. 10 value squared, canonical to the bit: the mean is the
+    correctly rounded sum over ``n``, and the squared deviations are
+    summed correctly rounded too.
+    :meth:`ResidualCpuTracker.exact_variance` reads this same value.
+    """
+    n = len(values)
+    mean = math.fsum(values) / n
+    return max(math.fsum((v - mean) ** 2 for v in values) / n, 0.0)
 
 
 def objective_of_assignment(
@@ -124,12 +141,9 @@ def placement_objective(
     residuals = [
         host.proc - math.fsum(demands[i]) for i, host in enumerate(cluster.hosts())
     ]
-    n = len(residuals)
-    if n == 0:
+    if not residuals:
         raise ModelError("objective of an empty cluster is undefined")
-    mean = math.fsum(residuals) / n
-    var = math.fsum((r - mean) ** 2 for r in residuals) / n
-    return math.sqrt(max(var, 0.0))
+    return math.sqrt(exact_variance_of(residuals))
 
 
 def balance_lower_bound(cluster: PhysicalCluster, total_vproc: float) -> float:
@@ -198,6 +212,81 @@ def waterfill_std(residuals: "Sequence[float]", demand: float) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in vals) / n)
 
 
+def _exact_sum(values: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of the finite *values*.
+
+    The first is ``math.fsum(values)`` and each next one is what the
+    floats before it rounded away, until nothing is left; an exact zero
+    sum gives ``[]``.  :func:`math.fsum` rounds correctly, so the first
+    float is fsum's value of any list with the same exact sum.  At
+    residual magnitudes the list holds two or three floats, so a running
+    exact sum is updated by re-expanding it with the terms that changed.
+    """
+    values = list(values)
+    out: list[float] = []
+    part = math.fsum(values)
+    while part:
+        out.append(part)
+        values.append(-part)
+        part = math.fsum(values)
+    return out
+
+
+def _rounded(expansion: list[float]) -> float:
+    """The correctly rounded value of an :func:`_exact_sum` expansion."""
+    return expansion[0] if expansion else 0.0
+
+
+class _ExactSums:
+    """The exact Eq. 10 sums of a snapshot of residual values.
+
+    ``total``, ``sumsq`` and ``dev`` are :func:`_exact_sum` expansions of
+    ``v``, ``v * v`` and ``(v - mean) ** 2`` over ``snap``; ``dev`` is
+    for the rounded ``mean`` stored with it.  :meth:`update` brings the
+    snapshot to new values by re-expanding with the terms of the values
+    that differ, and rebuilds ``dev`` only when the rounded mean moves.
+    Every term keeps the float operation the two-pass formula uses
+    (Python's ``** 2``, not ``x * x``, which differs in the last bit for
+    some doubles), so the rounded sums are the two-pass sums.
+    """
+
+    __slots__ = ("snap", "total", "sumsq", "mean", "dev")
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.snap = values.copy()
+        vals = self.snap.tolist()
+        self.total = _exact_sum(vals)
+        self.sumsq = _exact_sum([v * v for v in vals])
+        self.mean: float | None = None
+        self.dev: list[float] = []
+
+    def update(self, values: np.ndarray) -> float:
+        """Move the snapshot to the finite *values*; return the variance."""
+        n = len(values)
+        snap = self.snap
+        changed = np.flatnonzero(values != snap)
+        if changed.size:
+            old = snap[changed].tolist()
+            snap[changed] = values[changed]
+            new = snap[changed].tolist()
+            self.total = _exact_sum(self.total + new + [-v for v in old])
+            self.sumsq = _exact_sum(
+                self.sumsq + [v * v for v in new] + [-(v * v) for v in old]
+            )
+            mean = self.mean
+            if _rounded(self.total) / n == mean:
+                self.dev = _exact_sum(
+                    self.dev
+                    + [(v - mean) ** 2 for v in new]
+                    + [-((v - mean) ** 2) for v in old]
+                )
+        mean = _rounded(self.total) / n
+        if mean != self.mean:
+            self.mean = mean
+            self.dev = _exact_sum([(v - mean) ** 2 for v in snap.tolist()])
+        return max(_rounded(self.dev) / n, 0.0)
+
+
 class ResidualCpuTracker:
     """Incrementally tracked residual-CPU statistics over a fixed host set.
 
@@ -210,9 +299,11 @@ class ResidualCpuTracker:
     >>> round(tracker.std_if_moved(0, 1, 800.0), 3)  # hypothetical move
     900.0
 
-    All operations are O(1).  The tracker deliberately knows nothing
-    about guests — callers pass CPU demands — so it is reusable by any
-    mapper or objective variant built on residual CPU.
+    Mutations and :meth:`std_if_moved` are O(1); :meth:`exact_std`
+    costs one vectorized comparison plus O(1) per host changed since its
+    last read.  The tracker deliberately knows nothing about guests —
+    callers pass CPU demands — so it is reusable by any mapper or
+    objective variant built on residual CPU.
 
     Residuals live in a flat ``array('d')`` indexed by a host-id
     interning table (built once and shared by every copy), so snapshots
@@ -221,7 +312,7 @@ class ResidualCpuTracker:
     truth for residual CPU.
     """
 
-    __slots__ = ("_ids", "_index", "_residual", "_sum", "_sumsq", "_n")
+    __slots__ = ("_ids", "_index", "_residual", "_sum", "_sumsq", "_n", "_exact")
 
     def __init__(self, initial_residuals: Mapping[NodeId, float]) -> None:
         if not initial_residuals:
@@ -233,6 +324,7 @@ class ResidualCpuTracker:
         self._n = len(ids)
         self._sum = math.fsum(self._residual)
         self._sumsq = math.fsum(v * v for v in self._residual)
+        self._exact: _ExactSums | None = None
 
     @classmethod
     def from_cluster(cls, cluster: PhysicalCluster) -> "ResidualCpuTracker":
@@ -263,6 +355,7 @@ class ResidualCpuTracker:
         out._n = len(ids)
         out._sum = total
         out._sumsq = sumsq
+        out._exact = None
         return out
 
     # ------------------------------------------------------------------
@@ -314,10 +407,7 @@ class ResidualCpuTracker:
         if var < self._CANCELLATION_GUARD * max(mean_sq, 1.0):
             # Re-anchor *both* running aggregates: the sum itself can have
             # absorbed tiny components (1.0 + 1e-38 - 1.0 == 0.0).
-            self._sum = math.fsum(self._residual)
-            self._sumsq = math.fsum(v * v for v in self._residual)
-            mean = self._sum / self._n
-            var = math.fsum((v - mean) ** 2 for v in self._residual) / self._n
+            return self.exact_variance()
         return max(var, 0.0)
 
     def std(self) -> float:
@@ -325,20 +415,36 @@ class ResidualCpuTracker:
         return math.sqrt(self.variance())
 
     def exact_variance(self) -> float:
-        """Two-pass :func:`math.fsum` variance from the residual values.
+        """:func:`exact_variance_of` the residual values, to the bit.
 
         Unlike :meth:`variance`, this never trusts the running
         aggregates, so it carries no accumulated drift — use it
         wherever the value is *reported* (it ends up in
         ``Mapping.meta["objective"]``) rather than merely compared.
-        The incremental aggregates are re-anchored as a side effect, so
-        a long-lived tracker cannot drift without bound either.
+        The running aggregates are re-anchored to the correctly rounded
+        sums as a side effect, so a long-lived tracker cannot drift
+        without bound either.
+
+        The exact sums are kept from one read to the next against a
+        snapshot of the residuals (:class:`_ExactSums`), so a read finds
+        the hosts whose residual changed — by any writer: a restore, or
+        the shared :class:`~repro.core.arrays.ArrayState` array — and
+        pays for those alone; a copy starts its own sums on its first
+        read.  Non-finite residuals, which have no exact sum, take the
+        plain :func:`math.fsum` passes.
         """
-        self._sum = math.fsum(self._residual)
-        self._sumsq = math.fsum(v * v for v in self._residual)
-        mean = self._sum / self._n
-        var = math.fsum((v - mean) ** 2 for v in self._residual) / self._n
-        return max(var, 0.0)
+        values = np.frombuffer(self._residual, dtype=np.float64)
+        if not np.isfinite(values).all():
+            self._exact = None
+            self._sum = math.fsum(self._residual)
+            self._sumsq = math.fsum(v * v for v in self._residual)
+            return exact_variance_of(self._residual)
+        if self._exact is None:
+            self._exact = _ExactSums(values)
+        var = self._exact.update(values)
+        self._sum = _rounded(self._exact.total)
+        self._sumsq = _rounded(self._exact.sumsq)
+        return var
 
     def exact_std(self) -> float:
         """Eq. 10 recomputed exactly from the residual values."""
@@ -374,9 +480,7 @@ class ResidualCpuTracker:
         components.
         """
         pairs = zip(self._ids, self._residual)
-        values = [overrides.get(h, v) for h, v in pairs]
-        mean = math.fsum(values) / self._n
-        return math.fsum((v - mean) ** 2 for v in values) / self._n
+        return exact_variance_of([overrides.get(h, v) for h, v in pairs])
 
     def std_if_moved(self, src: NodeId, dst: NodeId, vproc: float) -> float:
         """Eq. 10 value if a *vproc*-MIPS guest moved from *src* to *dst*.

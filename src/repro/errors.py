@@ -21,6 +21,7 @@ __all__ = [
     "ConfigError",
     "UnknownNodeError",
     "DuplicateNodeError",
+    "DuplicateGuestError",
     "CapacityError",
     "MappingError",
     "PlacementError",
@@ -67,6 +68,17 @@ class DuplicateNodeError(ModelError):
         super().__init__(f"duplicate {kind}: {node_id!r}")
         self.node_id = node_id
         self.kind = kind
+
+
+class DuplicateGuestError(ModelError):
+    """A request's guest id is already placed on the shared state, by
+    another tenant; ``guest_id`` is the first such id in the request's
+    guest order and ``host`` where it sits."""
+
+    def __init__(self, guest_id: object, host: object) -> None:
+        super().__init__(f"guest {guest_id!r} is already placed on host {host!r}")
+        self.guest_id = guest_id
+        self.host = host
 
 
 class CapacityError(ModelError):

@@ -31,9 +31,12 @@ holds none of them.
 
 The Eq. 10 value of every candidate destination is evaluated at once
 (the tracker's O(1) ``std_if_moved`` formula, replayed elementwise),
-so an iteration costs one vectorized pass plus the intra-host
-bandwidth scan — this is the stage the paper runs thousands of times
-on 2000-guest instances.
+and the origin and the destination are masked minimums, not sorts.
+The exact Eq. 10 value and each guest's intra-host bandwidth are kept
+from one iteration to the next and updated for the hosts and guests a
+move touched, so an iteration costs a few vectorized passes plus
+O(changed) Python — this is the stage the paper runs thousands of
+times on 2000-guest instances.
 
 Termination: every accepted move strictly decreases Eq. 10 by more
 than an epsilon, the objective is bounded below by zero, and each

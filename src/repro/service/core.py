@@ -36,7 +36,7 @@ from repro.core.mapping import Mapping
 from repro.core.state import ClusterState, path_edges
 from repro.core.venv import VirtualEnvironment
 from repro.core.vlink import VLinkKey
-from repro.errors import MappingError, ModelError, StoreError
+from repro.errors import DuplicateGuestError, MappingError, ModelError, StoreError
 from repro.hmn.config import HMNConfig
 from repro.hmn.pipeline import hmn_map
 from repro.io import cluster_from_dict, cluster_to_dict
@@ -132,10 +132,17 @@ class TenantTable:
 
         Raises :class:`~repro.errors.MappingError` with nothing leaked:
         :func:`hmn_map` rolls the state and the ledger back on any
-        failure.
+        failure.  A guest id already placed on the state (another
+        tenant's guest or replica) raises
+        :class:`~repro.errors.DuplicateGuestError` before anything is
+        mapped.
         """
         if key in self.live:
             raise ModelError(f"tenant {key!r} is already live")
+        state = self.state
+        clash = next((g for g in venv.guest_ids if state.is_placed(g)), None)
+        if clash is not None:
+            raise DuplicateGuestError(clash, state.host_of(clash))
         mapping = hmn_map(
             self.cluster, venv, config,
             state=self.state, cache=self.cache, backup_ledger=self.ledger,
@@ -474,7 +481,7 @@ class ServiceCore:
             config = request.config if request.config is not None else self.config
             try:
                 entry = self.tenants.admit(request.tenant, request.venv, config)
-            except MappingError as exc:
+            except (MappingError, DuplicateGuestError) as exc:
                 decision = AdmissionDecision(
                     request_id=rid,
                     tenant=request.tenant,

@@ -97,8 +97,9 @@ class AdmissionDecision:
     store's primary key); ``arrived_at`` the virtual arrival time (the
     replay driver's event index — equal to ``request_id`` in closed-loop
     runs).  ``failure`` is the empty string on admission, else the
-    exception class name (``PlacementError``, ``RoutingError``, ...) or
-    one of the service verdicts (``DuplicateTenantError``,
+    exception class name (``PlacementError``, ``RoutingError``,
+    ``DuplicateGuestError`` for a guest id another tenant already holds,
+    ...) or one of the service verdicts (``DuplicateTenantError``,
     ``DeadlineExpired``).  ``objective`` is the whole-cluster Eq. 10
     value right after this admission committed (``None`` on rejection);
     ``departed_at`` is annotated by the replay driver for lifetime

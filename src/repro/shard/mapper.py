@@ -45,6 +45,7 @@ import numpy as np
 from repro import obs
 from repro.core.cluster import PhysicalCluster
 from repro.core.mapping import Mapping, StageReport
+from repro.core.objective import exact_variance_of
 from repro.core.state import ClusterState
 from repro.core.venv import VirtualEnvironment
 from repro.errors import PlacementError
@@ -71,14 +72,9 @@ SHARD_QUALITY_SLACK = 1.0
 
 
 def _exact_std(pods: list[PodState]) -> float:
-    """Eq. 10 over the union of all pod views (exact, like
-    :meth:`ResidualCpuTracker.exact_std`)."""
-    values = np.concatenate([p.res for p in pods])
-    n = len(values)
-    total = math.fsum(values)
-    sumsq = math.fsum(v * v for v in values)
-    var = max(0.0, sumsq / n - (total / n) ** 2)
-    return math.sqrt(var)
+    """Eq. 10 over the union of all pod views, two-pass exact like
+    :meth:`ResidualCpuTracker.exact_std`."""
+    return math.sqrt(exact_variance_of(np.concatenate([p.res for p in pods]).tolist()))
 
 
 def _chunk_guests(

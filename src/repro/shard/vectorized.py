@@ -1,4 +1,4 @@
-"""Hosting and Migration over flat numpy arrays: the production stages.
+"""Hosting and Migration over flat arrays: the production stages.
 
 Every map runs Hosting (Section 4.1) and Migration (Section 4.2)
 through this module.  A monolithic map is one pod that spans the whole
@@ -8,12 +8,26 @@ cluster: :func:`repro.hmn.hosting.run_hosting` and
 onto the :class:`~repro.core.state.ClusterState`.  The sharded mapper
 (:mod:`repro.shard.mapper`) runs one pod per partition cell.
 
-A :class:`PodState` holds the pod's residual capacities in numpy
-arrays, so the inner decisions (host ordering, first-fit scans, the
-Migration destination sweep) are single vectorized passes.  It also
-holds what a shared state adds: each host's CPU capacity, and whether
-the host carries guests this mapping may not move (other tenants').
-Both migration-origin rules read them.
+A :class:`PodState` holds the pod's residual capacities in flat
+``array('d')`` buffers with numpy views over the same memory.  A
+decision changes one or two residuals, so nothing is recomputed from
+scratch between decisions:
+
+* the residual-descending host order is a Python list kept sorted by
+  ``(-residual, rank of str(id))``; a position whose residual changed
+  is filed again by bisection when the order is next read, and the
+  Hosting first-fit scans walk it from the head;
+* Migration picks its origin and its destination with a masked
+  minimum over ``(residual, rank)`` instead of sorting every host, and
+  scores every candidate destination in one vectorized pass;
+* the exact Eq. 10 value is kept by the tracker
+  (:meth:`~repro.core.objective.ResidualCpuTracker.exact_variance`),
+  and the intra-host bandwidth of each guest is memoized for the
+  stage and recomputed only for a moved guest and its peers.
+
+It also holds what a shared state adds: each host's CPU capacity, and
+whether the host carries guests this mapping may not move (other
+tenants').  Both migration-origin rules read them.
 
 **Decision equivalence with the oracle is the contract.**  The
 list-walking stages in :mod:`repro.conformance.stages` state the
@@ -24,16 +38,19 @@ check it).  That is why every comparison below reproduces the
 reference formulas verbatim (same float operations in the same order:
 the Migration candidate evaluation replays
 :meth:`~repro.core.objective.ResidualCpuTracker.std_if_moved`
-elementwise, including its cancellation guard), and why tie-breaks
-sort by ``str(host_id)`` exactly like
-:meth:`~repro.core.objective.ResidualCpuTracker.hosts_by_residual_descending`.
+elementwise, including its cancellation guard), and why ties break on
+the rank of ``str(host_id)`` and then on position: the total order of
+:meth:`~repro.core.objective.ResidualCpuTracker.hosts_by_residual_descending`,
+whose sort is stable.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Hashable, Iterable, Sequence
+from bisect import bisect_left, insort
+from itertools import islice
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,20 +74,30 @@ NodeId = Hashable
 _IMPROVEMENT_EPS = 1e-5
 
 
+def _doubles(values: Iterable[float]) -> array:
+    """A fresh ``array('d')`` of *values*; numpy views share its memory."""
+    return array("d", np.fromiter(values, dtype=np.float64).tobytes())
+
+
 class PodState:
     """Residual capacities of one pod's hosts, numpy-indexable.
 
-    Positions (0..n-1) follow the order *host_ids* was given in; the
-    CPU residuals live in a :class:`ResidualCpuTracker` wrapped around
-    the same buffer as the numpy view, so O(1) incremental aggregates
-    and vectorized scans read one source of truth.  ``cap`` is each
-    host's CPU capacity and ``occupied`` whether it holds guests that
-    are not this pod's to move; neither changes while a stage runs.
+    Positions (0..n-1) follow the order *host_ids* was given in.
+    ``mem``, ``stor`` and ``res`` are numpy views over ``array('d')``
+    buffers, so scalar reads and writes stay cheap and vectorized scans
+    read the same memory; the CPU buffer is the one the
+    :class:`ResidualCpuTracker` wraps.  ``cap`` is each host's CPU
+    capacity and ``occupied`` whether it holds guests that are not this
+    pod's to move; neither changes while a stage runs.  ``loaded`` is
+    whether the host holds any guest, this pod's or another tenant's.
+    ``rank`` is each position's place in the stable order of
+    ``str(host_id)``, the tie-break of every host order.
     """
 
     __slots__ = (
-        "ids", "index", "id_strs", "mem", "stor", "blocked", "cap", "occupied",
-        "tracker", "res", "placed", "_guests_on",
+        "ids", "index", "rank", "mem", "stor", "res", "cap", "blocked",
+        "occupied", "loaded", "tracker", "placed", "_guests_on",
+        "_mem", "_stor", "_res", "_blocked", "_rank", "_desc", "_key", "_stale",
     )
 
     def __init__(
@@ -86,28 +113,40 @@ class PodState:
         if not host_ids:
             raise ModelError("a pod needs at least one host")
         self.ids: tuple[NodeId, ...] = tuple(host_ids)
+        n = len(self.ids)
         self.index = {h: i for i, h in enumerate(self.ids)}
-        self.id_strs = np.array([str(h) for h in self.ids])
-        self.mem = np.array(list(mem), dtype=np.float64)
-        self.stor = np.array(list(stor), dtype=np.float64)
-        residual = array("d", (float(v) for v in proc))
-        self.res = np.frombuffer(residual, dtype=np.float64)
+        strs = [str(h) for h in self.ids]
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[sorted(range(n), key=strs.__getitem__)] = np.arange(n)
+        self._rank: list[int] = self.rank.tolist()
+        self._mem = _doubles(mem)
+        self._stor = _doubles(stor)
+        self._res = _doubles(proc)
+        self.mem = np.frombuffer(self._mem, dtype=np.float64)
+        self.stor = np.frombuffer(self._stor, dtype=np.float64)
+        self.res = np.frombuffer(self._res, dtype=np.float64)
         self.cap = np.array(list(cap), dtype=np.float64)
         self.tracker = ResidualCpuTracker.wrapping(
             self.ids,
             self.index,
-            residual,
-            math.fsum(residual),
-            math.fsum(v * v for v in residual),
+            self._res,
+            math.fsum(self._res),
+            math.fsum(v * v for v in self._res),
         )
         self.blocked = np.array(list(blocked), dtype=bool)
+        self._blocked: list[bool] = self.blocked.tolist()
         self.occupied = np.array(list(occupied), dtype=bool)
-        n = len(self.ids)
         sizes = (self.mem, self.stor, self.res, self.cap, self.blocked, self.occupied)
         if any(len(a) != n for a in sizes):
             raise ModelError("PodState arrays must all match the host count")
+        self.loaded = self.occupied.copy()
         self.placed: dict[int, int] = {}
         self._guests_on: dict[int, set[int]] = {}
+        # The residual-descending order, built on first read: positions
+        # sorted by the key each one is filed under in ``_key``.
+        self._desc: list[int] | None = None
+        self._key: list[tuple[float, int]] = []
+        self._stale: set[int] = set()
 
     @classmethod
     def from_state(
@@ -136,6 +175,7 @@ class PodState:
         for pos, mine in enumerate(own):
             if mine:
                 pod._guests_on[pos] = mine
+                pod.loaded[pos] = True
                 pod.placed.update((g, pos) for g in sorted(mine))
         return pod
 
@@ -144,26 +184,46 @@ class PodState:
         return len(self.ids)
 
     # ------------------------------------------------------------------
-    # vectorized scans (reference-equivalent orderings)
+    # the residual-descending order, kept between decisions
     # ------------------------------------------------------------------
-    def order_residual_desc(self) -> np.ndarray:
+    def order_residual_desc(self) -> list[int]:
         """Positions sorted like ``hosts_by_residual_descending()``:
-        residual CPU descending, ties on ``str(id)`` ascending."""
-        return np.lexsort((self.id_strs, -self.res))
+        residual CPU descending, ties on ``str(id)`` ascending, then on
+        position.
 
-    def order_load_desc(self) -> np.ndarray:
-        """Positions sorted like ``hosts_by_load_descending()``:
-        residual CPU ascending, ties on ``str(id)`` ascending."""
-        return np.lexsort((self.id_strs, self.res))
+        The list is kept between calls and returned as is (callers must
+        not change it): each position whose residual changed since the
+        last call is taken out and filed again by bisection.
+        """
+        key = self._key
+        if self._desc is None:
+            key[:] = zip([-v for v in self._res], self._rank)
+            self._desc = sorted(range(self.n_hosts), key=key.__getitem__)
+        else:
+            desc, res, rank = self._desc, self._res, self._rank
+            for pos in self._stale:
+                new = (-res[pos], rank[pos])
+                if new != key[pos]:
+                    del desc[bisect_left(desc, key[pos], key=key.__getitem__)]
+                    key[pos] = new
+                    insort(desc, pos, key=key.__getitem__)
+        self._stale.clear()
+        return self._desc
 
-    def first_fitting(self, guest: Guest, order: np.ndarray) -> int | None:
+    def order_index(self, pos: int) -> int:
+        """Where *pos* stands in :meth:`order_residual_desc`."""
+        order = self.order_residual_desc()
+        return bisect_left(order, self._key[pos], key=self._key.__getitem__)
+
+    def first_fitting(self, guest: Guest, order: Iterable[int]) -> int | None:
         """First position in *order* where *guest* fits (mem+stor, not
-        blocked) — the vectorized ``state.fits`` scan."""
-        feasible = (self.mem >= guest.vmem) & (self.stor >= guest.vstor) & ~self.blocked
-        along = feasible[order]
-        if not along.any():
-            return None
-        return int(order[int(np.argmax(along))])
+        blocked) — the ``state.fits`` scan."""
+        vmem, vstor = guest.vmem, guest.vstor
+        mem, stor, blocked = self._mem, self._stor, self._blocked
+        for pos in order:
+            if mem[pos] >= vmem and stor[pos] >= vstor and not blocked[pos]:
+                return pos
+        return None
 
     # ------------------------------------------------------------------
     # mutation (mirrors ClusterState.place/unplace/move)
@@ -171,33 +231,43 @@ class PodState:
     def place(self, guest: Guest, pos: int) -> None:
         if guest.id in self.placed:
             raise ModelError(f"guest {guest.id!r} is already placed in this pod")
-        if self.blocked[pos]:
+        if self._blocked[pos]:
             raise CapacityError(
                 f"guest {guest.id!r} cannot be placed on blocked host {self.ids[pos]!r}"
             )
-        if self.mem[pos] < guest.vmem or self.stor[pos] < guest.vstor:
+        if self._mem[pos] < guest.vmem or self._stor[pos] < guest.vstor:
             raise CapacityError(
                 f"guest {guest.id!r} does not fit on host {self.ids[pos]!r}"
             )
-        self.mem[pos] -= guest.vmem
-        self.stor[pos] -= guest.vstor
+        self._mem[pos] -= guest.vmem
+        self._stor[pos] -= guest.vstor
         self.tracker.apply_demand(self.ids[pos], guest.vproc)
         self.placed[guest.id] = pos
         self._guests_on.setdefault(pos, set()).add(guest.id)
+        self.loaded[pos] = True
+        self._stale.add(pos)
 
     def unplace(self, guest: Guest) -> int:
         pos = self.placed.pop(guest.id)
-        self.mem[pos] += guest.vmem
-        self.stor[pos] += guest.vstor
+        self._mem[pos] += guest.vmem
+        self._stor[pos] += guest.vstor
         self.tracker.release_demand(self.ids[pos], guest.vproc)
-        self._guests_on[pos].discard(guest.id)
+        guests = self._guests_on[pos]
+        guests.discard(guest.id)
+        if not guests and not self.occupied[pos]:
+            self.loaded[pos] = False
+        self._stale.add(pos)
         return pos
 
     def move(self, guest: Guest, dst: int) -> None:
         src = self.placed[guest.id]
         if src == dst:
             return
-        if self.blocked[dst] or self.mem[dst] < guest.vmem or self.stor[dst] < guest.vstor:
+        if (
+            self._blocked[dst]
+            or self._mem[dst] < guest.vmem
+            or self._stor[dst] < guest.vstor
+        ):
             raise CapacityError(
                 f"guest {guest.id!r} does not fit on host {self.ids[dst]!r}"
             )
@@ -258,12 +328,12 @@ def pod_hosting(
         if not a_placed and not b_placed:
             ga = venv.guest(link.a)
             gb = venv.guest(link.b)
-            head = int(order[0])
+            head = order[0]
             # fits_together: joint mem+stor on the current CPU head
             # (reference quirk: blocked is *not* consulted here).
             if (
-                pod.mem[head] >= ga.vmem + gb.vmem
-                and pod.stor[head] >= ga.vstor + gb.vstor
+                pod._mem[head] >= ga.vmem + gb.vmem
+                and pod._stor[head] >= ga.vstor + gb.vstor
             ):
                 pod.place(ga, head)
                 pod.place(gb, head)
@@ -288,10 +358,9 @@ def pod_hosting(
             # Second guest: continue down the re-sorted order from just
             # after the first guest's host, wrapping to the untried
             # hosts before it.
+            idx = pod.order_index(heavy_pos)
             order = pod.order_residual_desc()
-            idx = int(np.nonzero(order == heavy_pos)[0][0])
-            scan = np.concatenate((order[idx + 1 :], order[:idx]))
-            light_pos = pod.first_fitting(light, scan)
+            light_pos = pod.first_fitting(light, order[idx + 1 :] + order[:idx])
             if light_pos is None:
                 unplaceable(light.id)
                 continue
@@ -302,9 +371,9 @@ def pod_hosting(
             guest = venv.guest(unplaced_id)
             peer_pos = pod.placed[placed_id]
             if (
-                not pod.blocked[peer_pos]
-                and pod.mem[peer_pos] >= guest.vmem
-                and pod.stor[peer_pos] >= guest.vstor
+                not pod._blocked[peer_pos]
+                and pod._mem[peer_pos] >= guest.vmem
+                and pod._stor[peer_pos] >= guest.vstor
             ):
                 pod.place(guest, peer_pos)
             else:
@@ -351,38 +420,59 @@ def _intra_bw(pod: PodState, venv: VirtualEnvironment, guest_id: int) -> float:
 
 
 def _pick_guest(
-    pod: PodState, venv: VirtualEnvironment, pos: int, config: HMNConfig
+    pod: PodState,
+    venv: VirtualEnvironment,
+    pos: int,
+    config: HMNConfig,
+    intra_bw: dict[int, float],
 ) -> int | None:
+    """The guest to move off *pos*.  *intra_bw* memoizes
+    :func:`_intra_bw` for the stage; the caller drops a moved guest and
+    its peers from it."""
     guests = sorted(g for g in pod.guests_on(pos) if g in venv)
     if not guests:
         return None
     if config.migration_policy == "min_intra_bw":
-        return min(guests, key=lambda g: (_intra_bw(pod, venv, g), g))
+        for g in guests:
+            if g not in intra_bw:
+                intra_bw[g] = _intra_bw(pod, venv, g)
+        return min(guests, key=lambda g: (intra_bw[g], g))
     if config.migration_policy == "max_vproc":
         return max(guests, key=lambda g: (venv.guest(g).vproc, -g))
     rng = rng_from(config.seed)
     return int(guests[int(rng.integers(len(guests)))])
 
 
-def _origin_positions(pod: PodState, config: HMNConfig) -> list[int]:
-    """Candidate migration origins, most loaded first.
+def _first(pod: PodState, key: np.ndarray, mask: np.ndarray) -> int | None:
+    """The position *mask* admits with the smallest ``(key, rank)``: the
+    first of them in a stable sort on ``(key, str(id))``."""
+    admitted = np.flatnonzero(mask)
+    if not admitted.size:
+        return None
+    keys = key[admitted]
+    tied = admitted[keys == keys.min()]
+    return int(tied[np.argmin(pod.rank[tied])])
+
+
+def _origin_positions(pod: PodState, config: HMNConfig) -> Iterator[int]:
+    """Candidate migration origins, most loaded first, one at a time.
 
     Every rule counts the whole host, other tenants' guests included:
     ``max_usage`` measures usage from the host's capacity, and the
     default keeps hosts that hold any guest.  The stage stops at the
-    first origin with none of this pod's guests.
+    first origin with none of this pod's guests, so origins are picked
+    lazily rather than sorted.
     """
     if config.migration_origin == "max_usage":
         usage = pod.cap - pod.res
-        positions = [int(i) for i in np.nonzero(usage > 0)[0]]
-        positions.sort(key=lambda i: (-usage[i], str(pod.ids[i])))
-        return positions
-    ordered = pod.order_load_desc()
-    if config.migration_origin == "strict_min_residual":
-        return ordered.tolist()
-    holds = pod.occupied.copy()
-    holds[[pos for pos, guests in pod._guests_on.items() if guests]] = True
-    return ordered[holds[ordered]].tolist()
+        key, mask = -usage, usage > 0
+    elif config.migration_origin == "strict_min_residual":
+        key, mask = pod.res, np.ones(pod.n_hosts, dtype=bool)
+    else:
+        key, mask = pod.res, pod.loaded.copy()
+    while (pos := _first(pod, key, mask)) is not None:
+        yield pos
+        mask[pos] = False
 
 
 def _candidate_stds(pod: PodState, src: int, vproc: float) -> np.ndarray:
@@ -434,18 +524,16 @@ def pod_migration(
     before = pod.tracker.exact_std()
     migrations = 0
     iterations = 0
+    intra_bw: dict[int, float] = {}
 
     while iterations < config.migration_max_iterations:
         iterations += 1
         current = pod.tracker.exact_std()
 
         origins = _origin_positions(pod, config)
-        if not config.migration_exhaustive:
-            origins = origins[:1]
-
         moved = False
-        for origin in origins:
-            guest_id = _pick_guest(pod, venv, origin, config)
+        for origin in islice(origins, None if config.migration_exhaustive else 1):
+            guest_id = _pick_guest(pod, venv, origin, config, intra_bw)
             if guest_id is None:
                 break
             guest = venv.guest(guest_id)
@@ -453,21 +541,24 @@ def pod_migration(
 
             stds = _candidate_stds(pod, src, guest.vproc)
             improving = stds < current - _IMPROVEMENT_EPS
-            fits = (
+            improving &= (
                 (pod.mem >= guest.vmem) & (pod.stor >= guest.vstor) & ~pod.blocked
             )
-            improving &= fits
             improving[src] = False
-            order = pod.order_residual_desc()
-            along = improving[order]
-            if along.any():
-                dst = int(order[int(np.argmax(along))])
+            dst = _first(pod, -pod.res, improving)
+            if dst is not None:
                 pod.move(guest, dst)
                 if move_log is not None:
                     move_log.append((guest_id, dst))
+                # Only the moved guest and its peers on the two hosts
+                # gain or lose a co-resident.
+                intra_bw.pop(guest_id, None)
+                for link in venv.vlinks_of(guest_id):
+                    peer = link.other(guest_id)
+                    if pod.placed.get(peer) in (src, dst):
+                        intra_bw.pop(peer, None)
                 moved = True
                 migrations += 1
-            if moved:
                 break
 
         if not moved:

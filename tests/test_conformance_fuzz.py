@@ -123,7 +123,10 @@ class TestStageArm:
         def this_tenant_only(pod, config):
             if config.migration_origin != "loaded_min_residual":
                 return real(pod, config)
-            return [int(i) for i in pod.order_load_desc() if pod.guests_on(int(i))]
+            by_load = sorted(
+                range(pod.n_hosts), key=lambda i: (pod.res[i], str(pod.ids[i]))
+            )
+            return [i for i in by_load if pod.guests_on(i)]
 
         monkeypatch.setattr(vec, "_origin_positions", this_tenant_only)
         report = FuzzReport()

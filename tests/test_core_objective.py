@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
+    ClusterState,
     Guest,
     Host,
     PhysicalCluster,
@@ -124,6 +129,106 @@ class TestTracker:
         tracker.apply_demand(0, 500.0)
         assert tracker.residual(0) == -400.0
         assert tracker.std() == 0.0  # single host: no spread
+
+
+def fsum_passes(values) -> tuple[str, str, str]:
+    """The three ``math.fsum`` passes Eq. 10 is defined by, as bit
+    patterns: running sum, running sum of squares, variance."""
+    values = list(values)
+    total = math.fsum(values)
+    mean = total / len(values)
+    var = max(math.fsum((v - mean) ** 2 for v in values) / len(values), 0.0)
+    return total.hex(), math.fsum(v * v for v in values).hex(), var.hex()
+
+
+def tracker_bits(tracker: ResidualCpuTracker) -> tuple[str, str, str]:
+    var = tracker.exact_variance()
+    return tracker.running_sum.hex(), tracker.running_sumsq.hex(), var.hex()
+
+
+#: Residual values with ties, both zeros, a subnormal and magnitudes far
+#: apart, so expansions need several floats and means land anywhere.
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1000.0, 2933.7, -417.25, 1e-9, 3e15]),
+    st.floats(-5000.0, 5000.0, allow_nan=False),
+)
+OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["move", "apply", "write", "inf", "copy", "restore"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        VALUES,
+        st.booleans(),  # read after this operation
+    ),
+    max_size=60,
+)
+
+
+class TestExactSums:
+    """``exact_variance`` keeps its sums between reads; every read must
+    give the bits of the three ``math.fsum`` passes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(VALUES, min_size=1, max_size=24), OPS)
+    def test_tracker_matches_fsum_passes(self, initial, ops):
+        n = len(initial)
+        tracker = ResidualCpuTracker(dict(enumerate(initial)))
+        snapshot = tracker.copy()
+        for op, a, b, value, read in ops:
+            a, b = a % n, b % n
+            if op == "move":  # a move keeps the sum; rounding may not
+                tracker.apply_demand(a, abs(value))
+                tracker.release_demand(b, abs(value))
+            elif op == "apply":  # a placement moves the rounded mean
+                tracker.apply_demand(a, value)
+            elif op == "write":  # a writer that bypasses the tracker
+                tracker._residual[a] = value
+            elif op == "inf":
+                tracker._residual[a] = math.inf
+            elif op == "copy":
+                tracker, snapshot = tracker.copy(), tracker
+            elif op == "restore":
+                tracker.restore_from(snapshot)
+            if read:
+                assert tracker_bits(tracker) == fsum_passes(tracker._residual)
+        assert tracker_bits(tracker) == fsum_passes(tracker._residual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(100.0, 4000.0), min_size=2, max_size=12),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["place", "unplace", "write", "copy", "restore"]),
+                st.integers(0, 11),
+                st.floats(0.0, 900.0),
+                st.booleans(),  # read after this operation
+            ),
+            max_size=40,
+        ),
+    )
+    def test_cluster_state_objective_matches_fsum_passes(self, caps, ops):
+        """Through :class:`ClusterState`: placements, snapshots,
+        restores, and writes through the shared ``ArrayState`` array."""
+        cluster = cluster_caps(*caps)
+        state = ClusterState(cluster)
+        snap = state.copy()
+        next_id = 0
+        for op, i, value, read in ops:
+            host = cluster.host_ids[i % len(caps)]
+            if op == "place":
+                state.place(Guest(next_id, vproc=value, vmem=1, vstor=1.0), host)
+                next_id += 1
+            elif op == "unplace" and state.assignments:
+                state.unplace(min(state.assignments))
+            elif op == "write":
+                state.arrays.cpu[i % len(caps)] = value
+            elif op == "copy":
+                snap = state.copy()
+            elif op == "restore":
+                state.restore_from(snap)
+            if read:
+                assert tracker_bits(state.cpu) == fsum_passes(state.arrays.cpu)
+        assert tracker_bits(state.cpu) == fsum_passes(state.arrays.cpu)
 
 
 class TestBalanceLowerBound:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.validate import validate_mapping
-from repro.errors import ConfigError, ModelError, StoreError
+from repro.errors import ConfigError, DuplicateGuestError, ModelError, StoreError
 from repro.hmn.config import HMNConfig
 from repro.service import (
     AdmissionConfig,
@@ -27,7 +27,9 @@ from repro.service import (
     replay_admissions,
     replay_through,
 )
+from repro.service.core import TenantTable
 from repro.service.service import AdmissionQueue, _Ticket
+from repro.topology import torus_cluster
 from repro.workload import LOW_LEVEL, generate_virtual_environment, paper_clusters
 
 
@@ -141,6 +143,55 @@ class TestServiceCore:
         d = core.admit(MapRequest(tenant="a", venv=small_venv(1)))
         assert not d.admitted and d.failure == "DuplicateTenantError"
         assert core.rejected == 1
+
+    def test_colliding_guest_ids_rejected_and_resumed(self, tmp_path):
+        """A request whose guest ids are already placed (here ids 0-9
+        twice) is a typed, stored rejection: nothing is mapped, the
+        state is unchanged, and the store replays bit-exactly."""
+        cluster = torus_cluster(3, 4, seed=1)
+        first = generate_virtual_environment(10, workload=LOW_LEVEL, seed=1)
+        second = generate_virtual_environment(10, workload=LOW_LEVEL, seed=2)
+        assert set(first.guest_ids) == set(second.guest_ids) == set(range(10))
+        path = tmp_path / "svc.store"
+        core = ServiceCore.open(cluster, path)
+        assert core.admit(MapRequest(tenant="a", venv=first)).admitted
+
+        def tables(state):
+            arrays = state.arrays
+            return (
+                dict(state.assignments),
+                *(getattr(arrays, t).tobytes() for t in ("mem", "stor", "cpu", "bw")),
+            )
+
+        before = tables(core.state)
+        d = core.admit(MapRequest(tenant="b", venv=second))
+        assert not d.admitted and d.failure == "DuplicateGuestError"
+        assert (core.accepted, core.rejected) == (1, 1)
+        assert tables(core.state) == before
+        assert sorted(core.live_tenants) == ["a"]
+        core.close()
+
+        resumed = ServiceCore.resume(cluster, path)
+        assert (resumed.accepted, resumed.rejected) == (1, 1)
+        assert tables(resumed.state) == before
+        assert resumed._next_request_id == 2
+
+    def test_tenant_table_names_first_colliding_guest(self):
+        """The table rejects a collision before mapping, naming the
+        first colliding id in the request's guest order; the chaos
+        operator admits through the same table."""
+        cluster = torus_cluster(3, 4, seed=1)
+        table = TenantTable(cluster)
+        table.admit("a", small_venv(0, seed=1, n=10), HMNConfig())
+        clash = generate_virtual_environment(
+            10, workload=LOW_LEVEL, seed=2, id_offset=5
+        )
+        with pytest.raises(DuplicateGuestError) as info:
+            table.admit("b", clash, HMNConfig())
+        assert info.value.guest_id == clash.guest_ids[0] == 5
+        assert info.value.host == table.state.host_of(5)
+        assert sorted(table.live) == ["a"]
+        table.audit()
 
     def test_failed_admission_leaves_state_untouched(self, cluster):
         core = ServiceCore(cluster)

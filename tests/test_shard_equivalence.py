@@ -193,6 +193,42 @@ class TestPreloadedGrid:
         assert_stages_equal(state, venv, config)
 
 
+@pytest.fixture(scope="module", params=["fresh", "pre-loaded"])
+def large_pod(request):
+    """A 128-host fat tree, fresh or loaded by another tenant first with
+    its busiest host blocked: the pod stages keep their host orders and
+    sums across many more decisions than the grids above make."""
+    cluster = fat_tree_cluster(8, seed=3)
+    venv = generate_virtual_environment(256, seed=103)
+    if request.param == "fresh":
+        return ClusterState(cluster), venv
+    other = generate_virtual_environment(
+        cluster.n_hosts, workload=LOW_LEVEL, seed=3, id_offset=1000
+    )
+    state = preload(cluster, other)
+    assert state.n_placed == other.n_guests
+    state.block_host(max(cluster.host_ids, key=lambda h: len(state.guests_on(h))))
+    return state, venv
+
+
+class TestLargePod:
+    """Every origin x policy x exhaustiveness on one 128-host pod."""
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("origin", ORIGINS)
+    def test_matches_oracle(self, large_pod, origin, policy, exhaustive):
+        state, venv = large_pod
+        assert state.cluster.n_hosts >= 128
+        config = HMNConfig(
+            migration_origin=origin,
+            migration_policy=policy,
+            migration_exhaustive=exhaustive,
+            seed=5,
+        )
+        assert_stages_equal(state, venv, config)
+
+
 class TestShardOffByteIdentity:
     def test_off_equals_auto_below_floor(self):
         cluster = torus_cluster(4, 5, seed=8)
